@@ -2,7 +2,8 @@
 
 Terms are quoted S-expressions.  Exit status: 0 for success and expected
 verdicts, 1 for check violations or exhausted fuel, 2 for usage or parse
-errors.  `--json` switches any subcommand to its documented JSON form.
+errors (a negative fuel or budget, or a term nested too deeply to process,
+is a usage error).  `--json` switches any subcommand to its documented JSON form.
 """
 
 from __future__ import annotations
@@ -298,6 +299,16 @@ def _cmd_check_stress(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_term_argument(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("term", nargs="?", help="term as a quoted S-expression")
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_term_argument(p)
     p.add_argument("--relation", choices=["safe", "full"], default="safe")
     p.add_argument("--trace", action="store_true", help="print each step")
-    p.add_argument("--fuel", type=int, default=normalize.DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_non_negative_int, default=normalize.DEFAULT_FUEL)
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("measure", help="print the termination measure")
@@ -339,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="exhibit built-in witnesses")
     wsub = p.add_subparsers(dest="witness", required=True)
     w = wsub.add_parser("nonjoin", help="the full-relation non-join witness")
-    w.add_argument("--budget", type=int, default=1000)
-    w.add_argument("--fuel", type=int, default=1000)
+    w.add_argument("--budget", type=_non_negative_int, default=1000)
+    w.add_argument("--fuel", type=_non_negative_int, default=1000)
     w.set_defaults(func=_cmd_witness_nonjoin)
 
     p = sub.add_parser("check", help="run a sweep or catalog check")
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("local-join", help="single-step fork joinability sweep")
     c.add_argument("--relation", choices=["safe", "safe-ctx"], default="safe")
     c.add_argument("--max-size", type=int, default=6)
-    c.add_argument("--budget", type=int, default=200)
+    c.add_argument("--budget", type=_non_negative_int, default=200)
     c.set_defaults(func=_cmd_check_local_join)
 
     c = csub.add_parser("unique-nf", help="unique normal form sweep")
@@ -394,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except terms.TermError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: term too deep (nesting exceeds the recursion limit)", file=sys.stderr)
         return EXIT_USAGE
 
 

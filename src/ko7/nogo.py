@@ -639,13 +639,17 @@ class PolyReport:
     step_combos_checked: int
     min_step_excess: int
     samples_confirmed: int
-    example: CounterexampleReport
+    example: Optional[CounterexampleReport]
     scan_resistant_small_violation: bool
-    scan_resistant_example: CounterexampleReport
+    scan_resistant_example: Optional[CounterexampleReport]
 
     @property
     def ok(self) -> bool:
-        return self.orienting_assignments == 0 and self.min_step_excess >= 1
+        return (
+            self.orienting_assignments == 0
+            and self.min_step_excess >= 1
+            and self.scan_resistant_example is not None
+        )
 
     def to_json(self) -> dict:
         return {
@@ -655,22 +659,36 @@ class PolyReport:
             "stepCombosChecked": self.step_combos_checked,
             "minStepExcess": self.min_step_excess,
             "samplesConfirmed": self.samples_confirmed,
-            "example": self.example.to_json(),
+            "example": _json_or_none(self.example),
             "scanResistant": {
                 "interpretation": SCAN_RESISTANT_INTERPRETATION.to_json(),
                 "violationWithinSize6": self.scan_resistant_small_violation,
-                "example": self.scan_resistant_example.to_json(),
+                "example": _json_or_none(self.scan_resistant_example),
             },
         }
 
 
-def _interp_counterexample(interp: LinearInterpretation, name: str) -> CounterexampleReport:
-    _, lhs, rhs = _grow_step_operand(interp)
-    before, after = interp.value(lhs), interp.value(rhs)
-    assert after >= before
+def _json_or_none(report: Optional[CounterexampleReport]) -> Optional[dict]:
+    return report.to_json() if report else None
+
+
+def _rec_succ_report(
+    name: str, lhs: Term, rhs: Term, before: int, after: int
+) -> Optional[CounterexampleReport]:
+    """The rec_succ instance lhs -> rhs as a counterexample, or None when
+    its value strictly drops (the candidate orients the instance)."""
+    if after < before:
+        return None
     witness = StepWitness(RuleId.REC_SUCC, (), lhs, rhs)
     verdict = "increase" if after > before else "no-strict-drop"
     return CounterexampleReport(name, witness, before, after, verdict, "nat")
+
+
+def _interp_counterexample(
+    interp: LinearInterpretation, name: str
+) -> Optional[CounterexampleReport]:
+    _, lhs, rhs = _grow_step_operand(interp)
+    return _rec_succ_report(name, lhs, rhs, interp.value(lhs), interp.value(rhs))
 
 
 def _interp_fails_within(interp: LinearInterpretation, max_size: int) -> bool:
@@ -690,42 +708,31 @@ def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
     r2), a strict excess for every choice, so a tall enough step operand
     defeats any assignment.  The excess is checked for every (r2, a1, a2)
     combination, and non-dropping instances are constructed and evaluated
-    concretely for a deterministic sample of full assignments.
+    concretely for a deterministic sample of full assignments; a sampled
+    assignment whose constructed instance strictly drops counts as
+    orienting.
     """
     if coef_bound < 1:
         raise ValueError("coef_bound must be >= 1")
-    combos = 0
-    min_excess: Optional[int] = None
-    for r2 in range(1, coef_bound + 1):
-        for a1 in range(1, coef_bound + 1):
-            for a2 in range(1, coef_bound + 1):
-                combos += 1
-                excess = (a1 + a2 * r2) - r2
-                min_excess = excess if min_excess is None else min(min_excess, excess)
-    assert min_excess is not None and min_excess >= 1
+    combos = list(itertools.product(range(1, coef_bound + 1), repeat=3))
+    min_excess = min((a1 + a2 * r2) - r2 for r2, a1, a2 in combos)
 
     samples = _sample_interpretations(coef_bound, sample_count)
-    confirmed = 0
-    example: Optional[CounterexampleReport] = None
-    for interp in samples:
-        report = _interp_counterexample(interp, "linear-poly")
-        confirmed += 1
-        if example is None:
-            example = report
+    reports = [_interp_counterexample(interp, "linear-poly") for interp in samples]
+    confirmed = [r for r in reports if r is not None]
 
     resistant_small = _interp_fails_within(SCAN_RESISTANT_INTERPRETATION, 6)
     resistant_example = _interp_counterexample(
         SCAN_RESISTANT_INTERPRETATION, "linear-poly"
     )
-    assert example is not None
     return PolyReport(
         coef_bound,
         _linear_space_size(coef_bound),
-        0,
-        combos,
+        len(reports) - len(confirmed),
+        len(combos),
         min_excess,
-        confirmed,
-        example,
+        len(confirmed),
+        confirmed[0] if confirmed else None,
         resistant_small,
         resistant_example,
     )
@@ -736,7 +743,7 @@ class KboReport:
     weight_bound: int
     assignments_checked: int
     orienting_assignments: int
-    example: CounterexampleReport
+    example: Optional[CounterexampleReport]
 
     @property
     def ok(self) -> bool:
@@ -747,7 +754,7 @@ class KboReport:
             "weightBound": self.weight_bound,
             "assignmentsChecked": self.assignments_checked,
             "orientingAssignments": self.orienting_assignments,
-            "example": self.example.to_json(),
+            "example": _json_or_none(self.example),
         }
 
 
@@ -778,7 +785,8 @@ def kbo_search(weight_bound: int = 3) -> KboReport:
     """Exhaustive sweep over all symbol-weight vectors in 0..weight_bound:
     none makes total weight strictly drop on every rule instance, because
     the duplicated step operand adds its own full weight to the right-hand
-    side of rec_succ."""
+    side of rec_succ.  A vector whose constructed instance strictly drops
+    counts as orienting."""
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
     checked = 0
@@ -788,10 +796,8 @@ def kbo_search(weight_bound: int = 3) -> KboReport:
         checked += 1
         weights = dict(zip(KINDS, vector))
         lhs, rhs, wl, wr = _weight_counterexample(weights)
-        assert wr >= wl  # never a strict drop on this instance
-        if example is None:
-            witness = StepWitness(RuleId.REC_SUCC, (), lhs, rhs)
-            verdict = "increase" if wr > wl else "no-strict-drop"
-            example = CounterexampleReport("kbo-weight", witness, wl, wr, verdict, "nat")
-    assert example is not None
+        if wr < wl:
+            orienting += 1
+        elif example is None:
+            example = _rec_succ_report("kbo-weight", lhs, rhs, wl, wr)
     return KboReport(weight_bound, checked, orienting, example)

@@ -12,7 +12,6 @@ immutable and pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -220,41 +219,39 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(c)
 
 
-def term_key(t: Term):
-    """Sort key realising the canonical term order: by size, then
-    constructor order, then recursively by children."""
-    return (size(t), KIND_INDEX[t.kind], tuple(term_key(c) for c in t.children))
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
+def _child_tuples(total: int, arity: int) -> Iterator[tuple[Term, ...]]:
+    """Every tuple of `arity` terms whose sizes sum to `total`, ordered
+    lexicographically by the canonical order of the children."""
+    if arity == 1:
+        for c in terms_of_size(total):
+            yield (c,)
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for first in range(1, total - arity + 2):
+        rest = list(_child_tuples(total - first, arity - 1))
+        for c in terms_of_size(first):
+            for tail in rest:
+                yield (c,) + tail
 
 
 @lru_cache(maxsize=None)
 def terms_of_size(n: int) -> tuple[Term, ...]:
-    """All terms with exactly n nodes, in canonical order."""
+    """All terms with exactly n nodes, in canonical order.
+
+    The canonical order compares size first, then constructor (in KINDS
+    order), then the children lexicographically, each child by the same
+    order.  Within one bucket the size is fixed, so the loop nest realises
+    it directly: constructors in KINDS order; for each, the first child
+    runs over all sizes ascending and over each size's (already canonical)
+    bucket, then the next child the same way, and the last child takes the
+    size that is left.  No sort is needed.
+    """
+    if n == 1:
+        return (VOID,)
     out: list[Term] = []
     for kind in KINDS:
         arity = ARITY[kind]
-        if arity == 0:
-            if n == 1:
-                out.append(VOID)
-            continue
-        if n < arity + 1:
-            continue
-        for sizes in _compositions(n - 1, arity):
-            pools = [terms_of_size(s) for s in sizes]
-            for kids in itertools.product(*pools):
-                out.append(Term(kind, kids))
-    # product order over size compositions is not the recursive child order,
-    # so sort the bucket explicitly
-    out.sort(key=term_key)
+        if arity and n > arity:
+            out.extend(Term(kind, kids) for kids in _child_tuples(n - 1, arity))
     return tuple(out)
 
 

@@ -1,9 +1,13 @@
 """Optional worker-pool execution for sweeps.
 
-Sweeps partition the term enumeration into contiguous chunks, run one
-chunk per worker, and merge the partial reports in chunk order, so output
-is identical for any worker count.  The KO7_WORKERS environment variable
-caps how many workers sweep subcommands may use (default 1: serial).
+Sweeps partition the term enumeration into contiguous chunks, run them on
+a pool of workers, and merge the partial reports in chunk order, so output
+is identical for any worker count.  With more than one worker there are
+CHUNKS_PER_WORKER chunks per worker: the cost per term grows with its
+size, so equal slices of the enumeration are far from equal work, and
+finer chunks let the pool balance the heavy tail.  The KO7_WORKERS
+environment variable caps how many workers sweep subcommands may use
+(default 1: serial).
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 R = TypeVar("R")
+
+CHUNKS_PER_WORKER = 4
 
 
 def env_worker_cap() -> int:
@@ -29,11 +35,14 @@ def resolve_workers() -> int:
 
 
 def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total))
-    base, extra = divmod(total, workers)
+    """Contiguous [lo, hi) slices covering range(total): one for a single
+    worker, CHUNKS_PER_WORKER per worker otherwise."""
+    chunks = workers * CHUNKS_PER_WORKER if workers > 1 else 1
+    chunks = max(1, min(chunks, total))
+    base, extra = divmod(total, chunks)
     bounds = []
     lo = 0
-    for i in range(workers):
+    for i in range(chunks):
         hi = lo + base + (1 if i < extra else 0)
         bounds.append((lo, hi))
         lo = hi

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -98,6 +99,15 @@ class TestNormalize:
         )
         assert status == 1
         assert "fuel exhausted" in out
+
+    @pytest.mark.parametrize("fuel", ["-5", "-1", "x"])
+    def test_bad_fuel_is_a_usage_error(self, run, fuel):
+        status, out, err = run(
+            "normalize", "(eqw void void)", "--relation", "full", "--fuel", fuel
+        )
+        assert status == 2
+        assert out == ""
+        assert "--fuel" in err
 
     def test_json_trace(self, run):
         status, out, _ = run("--json", "normalize", "(eqw void void)")
@@ -226,6 +236,27 @@ class TestChecks:
 
 
 class TestUsage:
+    def test_too_deep_term_exits_2(self, run):
+        depth = sys.getrecursionlimit()
+        status, out, err = run("parse", "(delta " * depth + "void" + ")" * depth)
+        assert status == 2
+        assert out == ""
+        assert "error: term too deep" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "local-join", "--budget", "-1"),
+            ("witness", "nonjoin", "--budget", "-1"),
+            ("witness", "nonjoin", "--fuel", "-1"),
+        ],
+    )
+    def test_negative_budget_or_fuel_exits_2(self, run, argv):
+        status, out, err = run(*argv)
+        assert status == 2
+        assert out == ""
+        assert "must be >= 0" in err
+
     def test_no_command_exits_2(self, run):
         status, _, _ = run()
         assert status == 2

@@ -111,6 +111,15 @@ class TestSweeps:
         parallel = unique_nf_sweep(5, workers=2)
         assert serial.to_json() == parallel.to_json()
 
+    def test_workers_keep_list_order(self):
+        # a zero budget leaves forks inconclusive across several chunks, so
+        # the merged list shows whether partial reports come back in order
+        serial = local_join_sweep(5, RelationKind.SAFE_CTX, budget=0)
+        assert serial.forks_checked == 31
+        assert len(serial.inconclusive) == 4
+        parallel = local_join_sweep(5, RelationKind.SAFE_CTX, budget=0, workers=2)
+        assert serial.to_json() == parallel.to_json()
+
 
 class TestCoverage:
     def test_all_root_shapes_realized(self):

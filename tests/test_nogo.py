@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 
+from ko7 import nogo
 from ko7.nogo import (
     SCAN_RESISTANT_INTERPRETATION,
     canonical_family,
@@ -228,6 +229,15 @@ class TestPolySearch:
         assert report.min_step_excess >= 1
         assert report.step_combos_checked == 27
 
+    def test_dropping_instance_counts_as_orienting(self, monkeypatch):
+        lhs = rec(VOID, VOID, delta(VOID))
+        monkeypatch.setattr(
+            nogo, "_grow_step_operand", lambda interp: (VOID, lhs, VOID)
+        )
+        report = poly_search(2, sample_count=8)
+        assert report.orienting_assignments >= 1
+        assert report.ok is False
+
     def test_space_size_arithmetic(self):
         # coefficients 1..3 per child slot, constants 0..3 per constructor
         report = poly_search(3)
@@ -278,6 +288,18 @@ class TestKboSearch:
         assert report.ok
         assert report.assignments_checked == 4**7
         assert report.orienting_assignments == 0
+
+    def test_dropping_instance_counts_as_orienting(self, monkeypatch):
+        # the verdict is counted, not asserted: a builder that hands back a
+        # strictly dropping instance must turn the report into a failure
+        lhs, rhs = rec(VOID, VOID, delta(VOID)), VOID
+        monkeypatch.setattr(
+            nogo, "_weight_counterexample", lambda weights: (lhs, rhs, 2, 1)
+        )
+        report = kbo_search(1)
+        assert report.orienting_assignments == report.assignments_checked == 2**7
+        assert report.ok is False
+        assert report.to_json()["example"] is None
 
     def test_witnesses_evaluate_correctly(self):
         # re-derive the example's weights-free claim: total symbol weight

@@ -1,15 +1,20 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ko7.terms import (
+    ARITY,
+    KIND_INDEX,
+    KINDS,
     ArityError,
     InvalidPositionError,
     ParseError,
     Term,
     VOID,
     app,
+    count_terms,
     delta,
     enumerate_terms,
     eqw,
@@ -57,6 +62,38 @@ def count_by_recurrence(n: int) -> int:
         )
         counts[m] = unary + binary + ternary
     return counts.get(n, 0)
+
+
+def reference_term_key(t: Term):
+    """Plain recursive definition of the canonical term order: by size,
+    then constructor order, then recursively by children."""
+    return (size(t), KIND_INDEX[t.kind], tuple(reference_term_key(c) for c in t.children))
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def reference_terms_of_size(n: int) -> tuple[Term, ...]:
+    """Reference oracle: build every term of size n over all size
+    compositions of the children, then sort by the canonical key."""
+    out = [VOID] if n == 1 else []
+    for kind in KINDS:
+        arity = ARITY[kind]
+        if arity == 0:
+            continue
+        for sizes in _compositions(n - 1, arity):
+            pools = [reference_terms_of_size(s) for s in sizes]
+            out.extend(Term(kind, kids) for kids in itertools.product(*pools))
+    out.sort(key=reference_term_key)
+    return tuple(out)
 
 
 class TestParseRender:
@@ -134,6 +171,15 @@ class TestEnumerate:
     def test_smallest_sizes(self):
         assert enumerate_terms(1) == [VOID]
         assert enumerate_terms(2) == [VOID, delta(VOID), integrate(VOID)]
+
+    def test_canonical_order_matches_reference(self):
+        for n in range(1, 9):
+            assert terms_of_size(n) == reference_terms_of_size(n), n
+        expected = [t for n in range(1, 9) for t in reference_terms_of_size(n)]
+        assert enumerate_terms(8) == expected
+
+    def test_count_at_size_10(self):
+        assert count_terms(10) == 334811
 
     def test_count_matches_recurrence(self):
         for n in range(1, 8):
