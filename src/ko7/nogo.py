@@ -15,6 +15,7 @@ on the right-hand side and any additive account of s gains a copy.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
@@ -58,14 +59,6 @@ def tree_depth(t: Term) -> int:
     if not t.children:
         return 1
     return 1 + max(tree_depth(c) for c in t.children)
-
-
-def _lex_pair_less(a: tuple, b: tuple) -> bool:
-    return a < b
-
-
-def _nat_less(a: int, b: int) -> bool:
-    return a < b
 
 
 def _proper_submultiset(x: Counter, y: Counter) -> bool:
@@ -151,7 +144,7 @@ def catalog() -> list[MeasureFamily]:
             "delta-nesting depth plus a fixed constant (any k; ties are "
             "constant-invariant)",
             kappa_depth,
-            _nat_less,
+            operator.lt,
             "nat",
             focus=(RuleId.REC_SUCC,),
         ),
@@ -159,7 +152,7 @@ def catalog() -> list[MeasureFamily]:
             "lex-kappa-size",
             "lexicographic pair (delta-nesting depth, node count)",
             lambda t: (kappa_depth(t), size(t)),
-            _lex_pair_less,
+            operator.lt,
             "pair",
             focus=(RuleId.REC_SUCC,),
         ),
@@ -168,7 +161,7 @@ def catalog() -> list[MeasureFamily]:
             "representative linear interpretation (see poly_search for the "
             "exhaustive sweep)",
             _poly_value,
-            _nat_less,
+            operator.lt,
             "nat",
             focus=(RuleId.REC_SUCC,),
         ),
@@ -176,7 +169,7 @@ def catalog() -> list[MeasureFamily]:
             "delta-flag",
             "the single-bit root-shape detector on its own",
             delta_flag,
-            _nat_less,
+            operator.lt,
             "bit",
             focus=(RuleId.MERGE_VOID_LEFT, RuleId.MERGE_VOID_RIGHT),
         ),
@@ -184,14 +177,14 @@ def catalog() -> list[MeasureFamily]:
             "size",
             "node count as a plain ordinal",
             size,
-            _nat_less,
+            operator.lt,
             "nat",
         ),
         MeasureFamily(
             "kappa-depth",
             "delta-nesting depth on its own",
             kappa_depth,
-            _nat_less,
+            operator.lt,
             "nat",
             focus=(RuleId.MERGE_CANCEL,),
         ),
@@ -208,14 +201,14 @@ def catalog() -> list[MeasureFamily]:
             "hybrid-flag-size",
             "lexicographic pair (delta flag, node count)",
             lambda t: (delta_flag(t), size(t)),
-            _lex_pair_less,
+            operator.lt,
             "pair",
         ),
         MeasureFamily(
             "raw-recursion",
             "node count probed on the unguarded duplicating rule itself",
             size,
-            _nat_less,
+            operator.lt,
             "nat",
             focus=(RuleId.REC_SUCC,),
         ),
@@ -224,7 +217,7 @@ def catalog() -> list[MeasureFamily]:
             "head-constructor rank under a fixed total precedence, with no "
             "subterm clause",
             lambda t: KIND_INDEX[t.kind],
-            _nat_less,
+            operator.lt,
             "nat",
             focus=(RuleId.MERGE_CANCEL,),
         ),
@@ -233,7 +226,7 @@ def catalog() -> list[MeasureFamily]:
             "representative linear symbol-weight sum (see kbo_search for "
             "the exhaustive sweep)",
             lambda t: symbol_weight(t, _KBO_WEIGHTS),
-            _nat_less,
+            operator.lt,
             "nat",
             focus=(RuleId.REC_SUCC,),
         ),
@@ -241,7 +234,7 @@ def catalog() -> list[MeasureFamily]:
             "tree-depth",
             "maximum tree depth (every constructor increments)",
             tree_depth,
-            _nat_less,
+            operator.lt,
             "nat",
             focus=(RuleId.REC_SUCC,),
         ),
@@ -377,16 +370,15 @@ class DepthTieReport:
 def duplication_depth_tie(
     max_size: int = 7, constants: tuple[int, ...] = (0, 1, 5)
 ) -> DepthTieReport:
-    """First rec_succ instance whose delta-nesting depth ties exactly,
-    checked to stay tied under each constant shift."""
+    """First rec_succ instance whose delta-nesting depth ties exactly; an
+    equal pair stays equal under any constant shift, so the report lists
+    the shifts it stands for without re-checking them."""
     for w in iter_witnesses(RelationKind.FULL_ROOT, max_size):
         if w.rule is not RuleId.REC_SUCC:
             continue
         before = kappa_depth(w.source)
         after = kappa_depth(w.result)
         if before == after:
-            for k in constants:
-                assert before + k == after + k
             return DepthTieReport(w, before, constants)
     raise RuntimeError(f"no depth-tied rec_succ instance up to size {max_size}")
 
@@ -488,14 +480,41 @@ def orients_all(prec: Precedence, instances: list[tuple[Term, Term]]) -> bool:
     return all(lpo_greater(lhs, rhs, prec) for lhs, rhs in instances)
 
 
+def _orienting_orders(
+    instances: list[tuple[Term, Term]]
+) -> Iterator[tuple[tuple[str, ...], bool]]:
+    """Yield (order, orients) for every total order of the seven
+    constructors (least to greatest, in permutation order), where `orients`
+    says whether LPO under that precedence orients every instance.
+
+    lpo_greater reads only the ranks of the constructors occurring in its
+    two terms.  So the instances are grouped by that constructor set, and a
+    group's verdict is computed once per order of the set: the order
+    restricted to the set is the cache key, and it names the group too."""
+    groups: dict[frozenset[str], list[tuple[Term, Term]]] = {}
+    for lhs, rhs in instances:
+        kinds = frozenset(u.kind for t in (lhs, rhs) for u in subterms(t))
+        groups.setdefault(kinds, []).append((lhs, rhs))
+    verdicts: dict[tuple[str, ...], bool] = {}
+    for order in itertools.permutations(KINDS):
+        orients = True
+        for kinds, members in groups.items():
+            key = tuple(kind for kind in order if kind in kinds)
+            if key not in verdicts:
+                prec = {kind: rank for rank, kind in enumerate(key)}
+                verdicts[key] = orients_all(prec, members)
+            if not verdicts[key]:
+                orients = False
+                break
+        yield order, orients
+
+
 def search_precedence(max_size: int = 5) -> Optional[Precedence]:
     """First total precedence under which LPO orients every rule instance
     up to max_size, scanning all orders of the seven constructors."""
-    instances = _rule_instances(max_size)
-    for order in itertools.permutations(KINDS):
-        prec = {kind: rank for rank, kind in enumerate(order)}
-        if orients_all(prec, instances):
-            return prec
+    for order, orients in _orienting_orders(_rule_instances(max_size)):
+        if orients:
+            return {kind: rank for rank, kind in enumerate(order)}
     return None
 
 
@@ -527,22 +546,14 @@ class LpoReport:
 
 def lpo_boundary_report(max_size: int = 5, hunt_size: int = 7) -> LpoReport:
     instances = _rule_instances(max_size)
-    first: Optional[tuple[str, ...]] = None
-    count = 0
-    total = 0
-    for order in itertools.permutations(KINDS):
-        total += 1
-        prec = {kind: rank for rank, kind in enumerate(order)}
-        if orients_all(prec, instances):
-            count += 1
-            if first is None:
-                first = order
+    verdicts = list(_orienting_orders(instances))
+    orienting = [order for order, orients in verdicts if orients]
+    if not orienting:
+        raise RuntimeError("no orienting precedence found")
     rank_only = find_violation(
         catalog_family("precedence-rank"), RelationKind.FULL_ROOT, hunt_size
     )
-    if first is None:
-        raise RuntimeError("no orienting precedence found")
-    return LpoReport(first, count, total, len(instances), rank_only)
+    return LpoReport(orienting[0], len(orienting), len(verdicts), len(instances), rank_only)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .measure import Measure3, lex3_less, measure3
-from .rewrite import StepWitness, ctx_steps_full, root_steps_safe
+from .rewrite import StepWitness, _first_step_full, root_steps_safe
 from .terms import Term, term_to_json
 
 DEFAULT_FUEL = 10_000
@@ -107,19 +107,19 @@ def normalize_safe(t: Term) -> Trace:
 
 
 def normalize_full(t: Term, fuel: int = DEFAULT_FUEL) -> FullRunResult:
-    """Apply first full-context witnesses up to `fuel` times."""
+    """Apply the first full-context step up to `fuel` times.  The first
+    step is the first redex in (pre-order position, rule) order: the
+    witness ctx_steps_full would list first, found without building the
+    others."""
     steps: list[StepWitness] = []
     current = t
     for _ in range(fuel):
-        witnesses = ctx_steps_full(current)
-        if not witnesses:
+        w = _first_step_full(current)
+        if w is None:
             return FullRunResult(True, current, tuple(steps))
-        w = witnesses[0]
         steps.append(w)
         current = w.result
-    if not ctx_steps_full(current):
-        return FullRunResult(True, current, tuple(steps))
-    return FullRunResult(False, current, tuple(steps))
+    return FullRunResult(_first_step_full(current) is None, current, tuple(steps))
 
 
 def reaches_target(t: Term, target: Term) -> bool:

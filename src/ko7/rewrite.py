@@ -156,6 +156,28 @@ def ctx_steps_full(t: Term) -> list[StepWitness]:
     return out
 
 
+def _first_step_full(t: Term) -> StepWitness | None:
+    """ctx_steps_full(t)[0], or None when t has no full step, without
+    building the other witnesses: the first node in pre-order with a root
+    rewrite, under its first rule.  Iterative, so linear in the nodes
+    visited before the redex plus the redex's depth."""
+    path: list[int] = []  # position of the node being visited
+    stack = [(0, 0, t)]  # (depth, index in parent, node), next on top
+    while stack:
+        depth, index, node = stack.pop()
+        if depth:
+            del path[depth - 1 :]
+            path.append(index)
+        rewrites = _root_rewrites(node, safe=False)
+        if rewrites:
+            rule, rhs = rewrites[0]
+            position = tuple(path)
+            return StepWitness(rule, position, t, replace_at(t, position, rhs))
+        kids = node.children
+        stack.extend((depth + 1, i, kids[i]) for i in range(len(kids) - 1, -1, -1))
+    return None
+
+
 _STEP_FUNCTIONS = {
     RelationKind.FULL_ROOT: root_steps_full,
     RelationKind.SAFE_ROOT: root_steps_safe,

@@ -193,15 +193,20 @@ def subterm_at(t: Term, position: Sequence[int]) -> Term:
 
 
 def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
-    """Functional replacement of the subterm at `position`."""
-    if not position:
-        return replacement
-    index = position[0]
-    if not 0 <= index < len(t.children):
-        raise InvalidPositionError(index, t)
-    kids = list(t.children)
-    kids[index] = replace_at(kids[index], position[1:], replacement)
-    return Term(t.kind, tuple(kids))
+    """Functional replacement of the subterm at `position`.
+
+    Descends once, collecting the ancestors, then rebuilds them bottom-up:
+    linear in the length of `position`, with no recursion."""
+    ancestors: list[tuple[Term, int]] = []
+    for index in position:
+        if not 0 <= index < len(t.children):
+            raise InvalidPositionError(index, t)
+        ancestors.append((t, index))
+        t = t.children[index]
+    for parent, index in reversed(ancestors):
+        kids = parent.children
+        replacement = Term(parent.kind, kids[:index] + (replacement,) + kids[index + 1 :])
+    return replacement
 
 
 def positions(t: Term) -> Iterator[Position]:

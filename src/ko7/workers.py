@@ -13,7 +13,6 @@ environment variable caps how many workers sweep subcommands may use
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 R = TypeVar("R")
@@ -51,8 +50,12 @@ def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
 
 def run_chunks(worker: Callable[[tuple], R], chunks: Sequence[tuple], workers: int) -> list[R]:
     """Apply `worker` to each chunk tuple, in a process pool when
-    workers > 1.  Results come back in chunk order."""
+    workers > 1.  Results come back in chunk order.  The pool module is
+    imported only here: it is a sizable share of the package's import
+    time, which every command pays and few commands need."""
     if workers <= 1 or len(chunks) <= 1:
         return [worker(chunk) for chunk in chunks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, chunks))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ko7
 from ko7.cli import main
 
 
@@ -264,3 +268,17 @@ class TestUsage:
     def test_unknown_command_exits_2(self, run):
         status, _, _ = run("frobnicate")
         assert status == 2
+
+
+def test_import_does_not_load_the_process_pool():
+    src = str(Path(ko7.__file__).resolve().parent.parent)
+    code = "import sys, ko7.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"

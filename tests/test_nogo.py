@@ -15,6 +15,7 @@ from ko7.nogo import (
     kbo_search,
     lpo_boundary_report,
     lpo_greater,
+    orients_all,
     poly_search,
     search_precedence,
     symbol_weight,
@@ -212,6 +213,14 @@ class TestLpo:
         for t in enumerate_terms(4):
             for w in root_steps_full(t):
                 assert lpo_greater(w.source, w.result, prec)
+
+    def test_cached_scan_matches_plain_orients_all(self):
+        instances = nogo._rule_instances(4)
+        verdicts = list(nogo._orienting_orders(instances))
+        assert [order for order, _ in verdicts] == list(itertools.permutations(KINDS))
+        for order, orients in verdicts:
+            prec = {kind: rank for rank, kind in enumerate(order)}
+            assert orients == orients_all(prec, instances)
 
     def test_boundary_report(self):
         report = lpo_boundary_report(max_size=4, hunt_size=7)

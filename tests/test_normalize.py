@@ -9,7 +9,7 @@ from ko7.normalize import (
     normalize_safe,
     reaches_target,
 )
-from ko7.rewrite import RuleId, root_steps_safe
+from ko7.rewrite import RuleId, ctx_steps_full, root_steps_safe
 from ko7.terms import (
     VOID,
     app,
@@ -20,6 +20,28 @@ from ko7.terms import (
     merge,
     rec,
 )
+
+
+def reference_normalize_full(t, fuel):
+    """Reference oracle: enumerate every full-context witness and take the
+    first, `fuel` times."""
+    steps = []
+    current = t
+    for _ in range(fuel):
+        witnesses = ctx_steps_full(current)
+        if not witnesses:
+            return FullRunResult(True, current, tuple(steps))
+        steps.append(witnesses[0])
+        current = witnesses[0].result
+    return FullRunResult(not ctx_steps_full(current), current, tuple(steps))
+
+
+def delta_chain(n):
+    """rec void void (delta^n void)."""
+    arg = VOID
+    for _ in range(n):
+        arg = delta(arg)
+    return rec(VOID, VOID, arg)
 
 
 class TestNormalFormPredicate:
@@ -93,6 +115,27 @@ class TestNormalizeFull:
         assert not run.normalized
         assert run.term == eqw(VOID, VOID)
         assert run.steps_taken == 0
+
+
+    def test_matches_reference_on_small_terms(self):
+        for t in enumerate_terms(7):
+            assert normalize_full(t, fuel=30).to_json() == reference_normalize_full(
+                t, 30
+            ).to_json()
+
+    def test_matches_reference_on_delta_chains(self):
+        for n in range(41):
+            t = delta_chain(n)
+            assert normalize_full(t).to_json() == reference_normalize_full(
+                t, 10_000
+            ).to_json()
+
+    @pytest.mark.parametrize("fuel", [0, 1])
+    def test_matches_reference_when_fuel_runs_out(self, fuel):
+        for t in [eqw(VOID, delta(VOID)), delta_chain(3), merge(eqw(VOID, VOID), delta_chain(2))]:
+            run = normalize_full(t, fuel=fuel)
+            assert not run.normalized
+            assert run.to_json() == reference_normalize_full(t, fuel).to_json()
 
 
 class TestReachesTarget:

@@ -96,6 +96,18 @@ def reference_terms_of_size(n: int) -> tuple[Term, ...]:
     return tuple(out)
 
 
+def reference_replace_at(t: Term, position, replacement: Term) -> Term:
+    """Reference oracle: the plain recursive definition of replace_at."""
+    if not position:
+        return replacement
+    index = position[0]
+    if not 0 <= index < len(t.children):
+        raise InvalidPositionError(index, t)
+    kids = list(t.children)
+    kids[index] = reference_replace_at(kids[index], position[1:], replacement)
+    return Term(t.kind, tuple(kids))
+
+
 class TestParseRender:
     def test_atomic(self):
         assert parse("void") == VOID
@@ -222,6 +234,26 @@ class TestPositions:
         assert err.value.index == 0
         with pytest.raises(InvalidPositionError):
             replace_at(delta(VOID), (1,), VOID)
+
+    def test_replace_at_matches_reference(self):
+        replacement = delta(VOID)
+        for t in enumerate_terms(7):
+            for p in positions(t):
+                assert replace_at(t, p, replacement) == reference_replace_at(
+                    t, p, replacement
+                )
+
+    def test_bad_index_error_matches_reference(self):
+        t = merge(VOID, app(VOID, delta(VOID)))
+        for p in [(2,), (1, 2), (1, 1, 1), (1, 1, 0, 0), (-1,)]:
+            with pytest.raises(InvalidPositionError) as got:
+                replace_at(t, p, VOID)
+            with pytest.raises(InvalidPositionError) as want:
+                reference_replace_at(t, p, VOID)
+            assert (got.value.index, str(got.value)) == (
+                want.value.index,
+                str(want.value),
+            )
 
     @given(random_terms)
     def test_replace_with_own_subterm_is_identity(self, t):
