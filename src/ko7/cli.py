@@ -27,6 +27,10 @@ _RELATIONS = {
 }
 
 
+class InputError(ValueError):
+    """An input file that cannot be read as text."""
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -34,11 +38,27 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _emit_report(args, report, lines: list[str]) -> int:
+    """Print a check report as JSON, or as `lines` and its PASS/FAIL verdict,
+    and return its exit status."""
+    _emit(args, report.to_json(), "\n".join([*lines, "PASS" if report.ok else "FAIL"]))
+    return EXIT_OK if report.ok else EXIT_VIOLATION
+
+
 def _read_terms(args) -> list[terms.Term]:
     if getattr(args, "file", None):
-        with open(args.file) as handle:
-            return [terms.parse(line) for line in handle if line.strip()]
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except (OSError, UnicodeDecodeError) as err:
+            raise InputError(f"cannot read {args.file}: {err}") from None
+        return [terms.parse(line) for line in lines if line.strip()]
     return [terms.parse(args.term)]
+
+
+def _witness_line(w: rewrite.StepWitness) -> str:
+    pos = "[" + ",".join(str(i) for i in w.position) + "]"
+    return f"{w.rule.value} @ {pos} -> {terms.render(w.result)}"
 
 
 def _cmd_parse(args) -> int:
@@ -51,14 +71,8 @@ def _cmd_step(args) -> int:
     relation = _RELATIONS[args.relation]
     for t in _read_terms(args):
         witnesses = rewrite.steps(t, relation)
-        if args.json:
-            print(json.dumps({"steps": [w.to_json() for w in witnesses]}, sort_keys=True))
-        else:
-            for w in witnesses:
-                pos = "[" + ",".join(str(i) for i in w.position) + "]"
-                print(f"{w.rule.value} @ {pos} -> {terms.render(w.result)}")
-            if not witnesses:
-                print("(no steps)")
+        lines = [_witness_line(w) for w in witnesses] or ["(no steps)"]
+        _emit(args, {"steps": [w.to_json() for w in witnesses]}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -86,8 +100,7 @@ def _cmd_normalize(args) -> int:
             else:
                 if args.trace:
                     for w in run.steps:
-                        pos = "[" + ",".join(str(i) for i in w.position) + "]"
-                        print(f"{w.rule.value} @ {pos} -> {terms.render(w.result)}")
+                        print(_witness_line(w))
                 if run.normalized:
                     print(terms.render(run.term))
                 else:
@@ -103,13 +116,8 @@ def _cmd_normalize(args) -> int:
 def _cmd_measure(args) -> int:
     for t in _read_terms(args):
         m = measure.measure3(t)
-        if args.json:
-            print(json.dumps({"measure": m.to_json()}, sort_keys=True))
-        else:
-            ms = "{" + ", ".join(str(v) for v in sorted(m.kappa.elements())) + "}"
-            print(f"dflag: {m.dflag}")
-            print(f"kappaM: {ms}")
-            print(f"tau: {m.tau}")
+        ms = "{" + ", ".join(str(v) for v in sorted(m.kappa.elements())) + "}"
+        _emit(args, {"measure": m.to_json()}, f"dflag: {m.dflag}\nkappaM: {ms}\ntau: {m.tau}")
     return EXIT_OK
 
 
@@ -127,32 +135,30 @@ def _cmd_reaches(args) -> int:
 
 def _cmd_witness_nonjoin(args) -> int:
     witness = confluence.non_join_witness(budget=args.budget, fuel=args.fuel)
-    if args.json:
-        print(json.dumps(witness.to_json(), sort_keys=True))
-    else:
-        print(f"source: {terms.render(witness.source)}")
-        print(f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}")
-        print(f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}")
-        print(f"normal form A: {terms.render(witness.normal_refl)}")
-        print(f"normal form B: {terms.render(witness.normal_diff)}")
-        print(f"verdict: not joinable (budget {args.budget})")
+    lines = [
+        f"source: {terms.render(witness.source)}",
+        f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
+        f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}",
+        f"normal form A: {terms.render(witness.normal_refl)}",
+        f"normal form B: {terms.render(witness.normal_diff)}",
+        f"verdict: not joinable (budget {args.budget})",
+    ]
+    _emit(args, witness.to_json(), "\n".join(lines))
     return EXIT_OK if witness.ok else EXIT_VIOLATION
 
 
 def _cmd_check_decrease(args) -> int:
     report = measure.decrease_sweep(args.max_size, workers=resolve_workers())
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(f"checked: {report.checked} guarded root instances (size <= {args.max_size})")
-        print(f"violations: {len(report.violations)}")
-        d = report.decided_by
-        print(f"decided by: dflag={d['dflag']} kappaM={d['kappaM']} tau={d['tau']}")
-        for rule, counts in sorted(report.by_rule.items()):
-            parts = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            print(f"  {rule}: {parts}")
-        print("PASS" if report.ok else "FAIL")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    d = report.decided_by
+    lines = [
+        f"checked: {report.checked} guarded root instances (size <= {args.max_size})",
+        f"violations: {len(report.violations)}",
+        f"decided by: dflag={d['dflag']} kappaM={d['kappaM']} tau={d['tau']}",
+    ]
+    for rule, counts in sorted(report.by_rule.items()):
+        parts = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        lines.append(f"  {rule}: {parts}")
+    return _emit_report(args, report, lines)
 
 
 def _cmd_check_local_join(args) -> int:
@@ -160,43 +166,35 @@ def _cmd_check_local_join(args) -> int:
     report = confluence.local_join_sweep(
         args.max_size, relation, args.budget, workers=resolve_workers()
     )
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(f"relation: {report.relation}")
-        print(f"forks checked: {report.forks_checked} (size <= {args.max_size})")
-        print(f"joined: {report.joined}")
-        print(f"inconclusive: {len(report.inconclusive)}")
-        print(f"violations: {len(report.violations)}")
-        print("PASS" if report.ok else "FAIL")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    lines = [
+        f"relation: {report.relation}",
+        f"forks checked: {report.forks_checked} (size <= {args.max_size})",
+        f"joined: {report.joined}",
+        f"inconclusive: {len(report.inconclusive)}",
+        f"violations: {len(report.violations)}",
+    ]
+    return _emit_report(args, report, lines)
 
 
 def _cmd_check_unique_nf(args) -> int:
     report = confluence.unique_nf_sweep(args.max_size, workers=resolve_workers())
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(f"terms checked: {report.terms_checked} (size <= {args.max_size})")
-        print(f"violations: {len(report.violations)}")
-        print("PASS" if report.ok else "FAIL")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    lines = [
+        f"terms checked: {report.terms_checked} (size <= {args.max_size})",
+        f"violations: {len(report.violations)}",
+    ]
+    return _emit_report(args, report, lines)
 
 
 def _cmd_check_coverage(args) -> int:
     report = confluence.root_coverage_sweep(args.max_size)
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        for shape, count in report.to_json()["instances"].items():
-            print(f"{shape}: {count} instance(s)")
-        print(f"target mismatches: {len(report.mismatches)}")
-        print(
-            f"guard-blocked eqw instances checked: {report.vacuous_checked}, "
-            f"violations: {len(report.vacuous_violations)}"
-        )
-        print("PASS" if report.ok else "FAIL")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    instances = report.to_json()["instances"]
+    lines = [f"{shape}: {count} instance(s)" for shape, count in instances.items()]
+    lines.append(f"target mismatches: {len(report.mismatches)}")
+    lines.append(
+        f"guard-blocked eqw instances checked: {report.vacuous_checked}, "
+        f"violations: {len(report.vacuous_violations)}"
+    )
+    return _emit_report(args, report, lines)
 
 
 def _format_counterexample(report: nogo.CounterexampleReport) -> str:
@@ -211,17 +209,15 @@ def _format_counterexample(report: nogo.CounterexampleReport) -> str:
 
 def _check_one_family(args, family: nogo.MeasureFamily) -> int:
     hunt = nogo.find_violation(family, max_size=args.max_size)
-    if args.json:
-        print(json.dumps(hunt.to_json(), sort_keys=True))
-        return EXIT_OK if hunt.found else EXIT_VIOLATION
-    print(f"family: {family.name}")
     if hunt.found:
-        print(f"counterexample: {_format_counterexample(hunt.counterexample)}")
-        print("PASS (counterexample found, as expected for this family)")
-        return EXIT_OK
-    print(f"no counterexample found over {hunt.scanned} instances")
-    print("FAIL")
-    return EXIT_VIOLATION
+        lines = [
+            f"counterexample: {_format_counterexample(hunt.counterexample)}",
+            "PASS (counterexample found, as expected for this family)",
+        ]
+    else:
+        lines = [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
+    _emit(args, hunt.to_json(), "\n".join([f"family: {family.name}", *lines]))
+    return EXIT_OK if hunt.found else EXIT_VIOLATION
 
 
 def _cmd_check_nogo(args) -> int:
@@ -234,69 +230,63 @@ def _cmd_check_nogo(args) -> int:
             return EXIT_USAGE
         return _check_one_family(args, family)
 
-    status = EXIT_OK
-    results = []
-    for family in nogo.catalog():
-        hunt = nogo.find_violation(family, max_size=args.max_size)
-        results.append(hunt)
-        if not hunt.found:
-            status = EXIT_VIOLATION
-        if not args.json:
-            mark = "counterexample" if hunt.found else "NO COUNTEREXAMPLE"
-            detail = (
-                _format_counterexample(hunt.counterexample) if hunt.found else "-"
-            )
-            print(f"{family.name}: {mark}: {detail}")
+    hunts = [nogo.find_violation(f, max_size=args.max_size) for f in nogo.catalog()]
     canonical = nogo.find_violation(
         nogo.canonical_family(), rewrite.RelationKind.SAFE_ROOT, args.max_size
     )
-    if canonical.found:
-        status = EXIT_VIOLATION
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "families": [h.to_json() for h in results],
-                    "canonical": canonical.to_json(),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        verdict = "no violation" if not canonical.found else "VIOLATION"
-        print(f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances")
-        print("PASS" if status == EXIT_OK else "FAIL")
-    return status
+    ok = all(h.found for h in hunts) and not canonical.found
+    lines = [
+        f"{h.family}: counterexample: {_format_counterexample(h.counterexample)}"
+        if h.found
+        else f"{h.family}: NO COUNTEREXAMPLE: -"
+        for h in hunts
+    ]
+    verdict = "no violation" if not canonical.found else "VIOLATION"
+    lines.append(
+        f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances"
+    )
+    lines.append("PASS" if ok else "FAIL")
+    payload = {"families": [h.to_json() for h in hunts], "canonical": canonical.to_json()}
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _cmd_check_lpo(args) -> int:
     report = nogo.lpo_boundary_report(max_size=args.max_size)
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(f"orienting precedences: {report.orienting_count} of {report.precedences_checked}")
-        print(f"first: {' < '.join(report.precedence)}")
-        print(f"instances checked: {report.instances_checked}")
-        if report.rank_only.found:
-            print(
-                "precedence rank alone: counterexample: "
-                f"{_format_counterexample(report.rank_only.counterexample)}"
-            )
-        print("PASS" if report.ok else "FAIL")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    lines = [
+        f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
+        f"first: {' < '.join(report.precedence)}",
+        f"instances checked: {report.instances_checked}",
+    ]
+    if report.rank_only.found:
+        lines.append(
+            "precedence rank alone: counterexample: "
+            f"{_format_counterexample(report.rank_only.counterexample)}"
+        )
+    return _emit_report(args, report, lines)
 
 
 def _cmd_check_stress(args) -> int:
     report = nogo.duplication_stress(args.max_size)
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(f"rec_succ instances: {report.instances} (size <= {args.max_size})")
-        print(f"fitted identity: {report.identity}")
-        print(f"identity failures: {len(report.failures)}")
-        print(f"strict size drops: {report.strict_drops}")
-        print("PASS" if report.ok else "FAIL")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    lines = [
+        f"rec_succ instances: {report.instances} (size <= {args.max_size})",
+        f"fitted identity: {report.identity}",
+        f"identity failures: {len(report.failures)}",
+        f"strict size drops: {report.strict_drops}",
+    ]
+    return _emit_report(args, report, lines)
+
+
+# name, handler, help, default --max-size
+_CHECKS = (
+    ("decrease", _cmd_check_decrease, "per-step measure decrease sweep", 6),
+    ("local-join", _cmd_check_local_join, "single-step fork joinability sweep", 6),
+    ("unique-nf", _cmd_check_unique_nf, "unique normal form sweep", 6),
+    ("coverage", _cmd_check_coverage, "root shape and target coverage sweep", 6),
+    ("nogo", _cmd_check_nogo, "failed-measure catalog hunt", 6),
+    ("lpo", _cmd_check_lpo, "path-order boundary demonstration", 5),
+    ("stress", _cmd_check_stress, "duplication size identity", 6),
+)
 
 
 def _non_negative_int(text: str) -> int:
@@ -357,36 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a sweep or catalog check")
     csub = p.add_subparsers(dest="check", required=True)
 
-    c = csub.add_parser("decrease", help="per-step measure decrease sweep")
-    c.add_argument("--max-size", type=int, default=6)
-    c.set_defaults(func=_cmd_check_decrease)
-
-    c = csub.add_parser("local-join", help="single-step fork joinability sweep")
-    c.add_argument("--relation", choices=["safe", "safe-ctx"], default="safe")
-    c.add_argument("--max-size", type=int, default=6)
-    c.add_argument("--budget", type=_non_negative_int, default=200)
-    c.set_defaults(func=_cmd_check_local_join)
-
-    c = csub.add_parser("unique-nf", help="unique normal form sweep")
-    c.add_argument("--max-size", type=int, default=6)
-    c.set_defaults(func=_cmd_check_unique_nf)
-
-    c = csub.add_parser("coverage", help="root shape and target coverage sweep")
-    c.add_argument("--max-size", type=int, default=6)
-    c.set_defaults(func=_cmd_check_coverage)
-
-    c = csub.add_parser("nogo", help="failed-measure catalog hunt")
-    c.add_argument("--family", help="check one catalog family by name")
-    c.add_argument("--max-size", type=int, default=6)
-    c.set_defaults(func=_cmd_check_nogo)
-
-    c = csub.add_parser("lpo", help="path-order boundary demonstration")
-    c.add_argument("--max-size", type=int, default=5)
-    c.set_defaults(func=_cmd_check_lpo)
-
-    c = csub.add_parser("stress", help="duplication size identity")
-    c.add_argument("--max-size", type=int, default=6)
-    c.set_defaults(func=_cmd_check_stress)
+    checks = {}
+    for name, func, help_text, max_size in _CHECKS:
+        c = checks[name] = csub.add_parser(name, help=help_text)
+        c.add_argument("--max-size", type=int, default=max_size)
+        c.set_defaults(func=func)
+    checks["local-join"].add_argument("--relation", choices=["safe", "safe-ctx"], default="safe")
+    checks["local-join"].add_argument("--budget", type=_non_negative_int, default=200)
+    checks["nogo"].add_argument("--family", help="check one catalog family by name")
 
     return parser
 
@@ -400,10 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except terms.ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except terms.TermError as err:
+    except (terms.TermError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -21,7 +21,6 @@ from .terms import (
     Term,
     VOID,
     app,
-    count_terms,
     enumerate_terms,
     eqw,
     integrate,
@@ -30,7 +29,7 @@ from .terms import (
     render,
     term_to_json,
 )
-from .workers import chunk_bounds, run_chunks
+from .workers import run_sweep
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,9 @@ class SweepReport:
         }
 
 
-def _local_join_chunk(chunk: tuple) -> SweepReport:
-    max_size, lo, hi, relation_value, budget = chunk
-    relation = RelationKind(relation_value)
+def _local_join_chunk(
+    max_size: int, lo: int, hi: int, relation: RelationKind, budget: int
+) -> SweepReport:
     report = SweepReport(relation.value, max_size)
     for t in enumerate_terms(max_size)[lo:hi]:
         for fork in forks(t, relation):
@@ -179,16 +178,7 @@ def local_join_sweep(
     """
     if relation not in (RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX):
         raise ValueError("local-join sweep is defined for the safe relations")
-    bounds = chunk_bounds(count_terms(max_size), workers)
-    parts = run_chunks(
-        _local_join_chunk,
-        [(max_size, lo, hi, relation.value, budget) for lo, hi in bounds],
-        workers,
-    )
-    report = parts[0]
-    for part in parts[1:]:
-        report.merge(part)
-    return report
+    return run_sweep(_local_join_chunk, max_size, workers, relation, budget)
 
 
 @dataclass
@@ -232,8 +222,7 @@ def guarded_root_normal_forms(t: Term) -> set[Term]:
     return terminals
 
 
-def _unique_nf_chunk(chunk: tuple) -> UniqueNFReport:
-    max_size, lo, hi = chunk
+def _unique_nf_chunk(max_size: int, lo: int, hi: int) -> UniqueNFReport:
     report = UniqueNFReport(max_size)
     for t in enumerate_terms(max_size)[lo:hi]:
         report.terms_checked += 1
@@ -246,12 +235,7 @@ def _unique_nf_chunk(chunk: tuple) -> UniqueNFReport:
 def unique_nf_sweep(max_size: int, workers: int = 1) -> UniqueNFReport:
     """For every term, all guarded-root reduction orders must reach exactly
     one normal form, equal to the normalizer's."""
-    bounds = chunk_bounds(count_terms(max_size), workers)
-    parts = run_chunks(_unique_nf_chunk, [(max_size, lo, hi) for lo, hi in bounds], workers)
-    report = parts[0]
-    for part in parts[1:]:
-        report.merge(part)
-    return report
+    return run_sweep(_unique_nf_chunk, max_size, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .rewrite import StepWitness, delta_flag, root_steps_safe
-from .terms import Term, count_terms, enumerate_terms, subterms
-from .workers import chunk_bounds, run_chunks
+from .terms import Term, enumerate_terms, subterms
+from .workers import run_sweep
 
 NatMultiset = Counter  # element -> multiplicity, multiplicities >= 1
 
@@ -115,8 +115,7 @@ class DecreaseReport:
         }
 
 
-def _decrease_chunk(chunk: tuple) -> DecreaseReport:
-    max_size, lo, hi = chunk
+def _decrease_chunk(max_size: int, lo: int, hi: int) -> DecreaseReport:
     report = DecreaseReport(max_size)
     for t in enumerate_terms(max_size)[lo:hi]:
         before = measure3(t)
@@ -134,9 +133,4 @@ def _decrease_chunk(chunk: tuple) -> DecreaseReport:
 def decrease_sweep(max_size: int, workers: int = 1) -> DecreaseReport:
     """Check that every guarded root step on every term of size <= max_size
     strictly decreases measure3, recording the deciding component per rule."""
-    bounds = chunk_bounds(count_terms(max_size), workers)
-    parts = run_chunks(_decrease_chunk, [(max_size, lo, hi) for lo, hi in bounds], workers)
-    report = parts[0]
-    for part in parts[1:]:
-        report.merge(part)
-    return report
+    return run_sweep(_decrease_chunk, max_size, workers)

@@ -87,36 +87,33 @@ class MeasureFamily:
     value_kind: str  # nat | bit | pair | multiset | measure3
     focus: tuple[RuleId, ...] = ()
 
-    def render(self, value: Any):
-        return render_value(self.value_kind, value)
+
+@dataclass(frozen=True)
+class LinearInterpretation:
+    """M(K(t1..tn)) = const_K + sum coef_K,i * M(ti), coefficients >= 1."""
+
+    coefs: tuple[tuple[int, ...], ...]  # per kind, in KINDS order
+    consts: tuple[int, ...]
+
+    def value(self, t: Term) -> int:
+        i = KIND_INDEX[t.kind]
+        return self.consts[i] + sum(
+            c * self.value(ch) for c, ch in zip(self.coefs[i], t.children)
+        )
+
+    def to_json(self) -> dict:
+        return {
+            kind: {"coefs": list(self.coefs[i]), "const": self.consts[i]}
+            for i, kind in enumerate(KINDS)
+        }
 
 
 # Representative linear interpretation for the polynomial family: orients
 # the seven non-duplicating rules and loses on every rec_succ instance.
-_POLY_COEFS = {
-    "void": (),
-    "delta": (1,),
-    "integrate": (1,),
-    "merge": (1, 1),
-    "app": (1, 1),
-    "rec": (1, 1, 1),
-    "eqw": (1, 1),
-}
-_POLY_CONSTS = {
-    "void": 1,
-    "delta": 0,
-    "integrate": 1,
-    "merge": 1,
-    "app": 0,
-    "rec": 1,
-    "eqw": 3,
-}
-
-
-def _poly_value(t: Term) -> int:
-    return _POLY_CONSTS[t.kind] + sum(
-        c * _poly_value(ch) for c, ch in zip(_POLY_COEFS[t.kind], t.children)
-    )
+_POLY_INTERPRETATION = LinearInterpretation(
+    coefs=((), (1,), (1,), (1, 1), (1, 1), (1, 1, 1), (1, 1)),
+    consts=(1, 0, 1, 1, 0, 1, 3),
+)
 
 
 # Representative symbol weights: heavy delta and eqw keep the seven
@@ -160,7 +157,7 @@ def catalog() -> list[MeasureFamily]:
             "linear-poly",
             "representative linear interpretation (see poly_search for the "
             "exhaustive sweep)",
-            _poly_value,
+            _POLY_INTERPRETATION.value,
             operator.lt,
             "nat",
             focus=(RuleId.REC_SUCC,),
@@ -558,26 +555,6 @@ def lpo_boundary_report(max_size: int = 5, hunt_size: int = 7) -> LpoReport:
 
 # ---------------------------------------------------------------------------
 # Exhaustive searches over interpretation families.
-
-
-@dataclass(frozen=True)
-class LinearInterpretation:
-    """M(K(t1..tn)) = const_K + sum coef_K,i * M(ti), coefficients >= 1."""
-
-    coefs: tuple[tuple[int, ...], ...]  # per kind, in KINDS order
-    consts: tuple[int, ...]
-
-    def value(self, t: Term) -> int:
-        i = KIND_INDEX[t.kind]
-        return self.consts[i] + sum(
-            c * self.value(ch) for c, ch in zip(self.coefs[i], t.children)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            kind: {"coefs": list(self.coefs[i]), "const": self.consts[i]}
-            for i, kind in enumerate(KINDS)
-        }
 
 
 def _grow_step_operand(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,18 @@ class TestParse:
         status, out, _ = run("parse", "--file", str(batch))
         assert status == 0
         assert out.splitlines() == ["void", "(delta void)", "(merge void void)"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_exits_2(self, run, tmp_path, kind):
+        path = tmp_path / "terms.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"void\n(delta \xff)\n")
+        status, out, err = run("parse", "--file", str(path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: cannot read ")
 
 
 class TestStep:
@@ -237,6 +250,154 @@ class TestChecks:
         assert status == 0
         assert "orienting precedences:" in out
         assert "precedence rank alone: counterexample" in out
+
+
+# Every check report and the nonjoin witness, pinned byte for byte: argv ->
+# (exit status, stdout).  Outputs longer than a dozen lines, and every JSON
+# form, are kept as the SHA-256 digest of stdout.
+TEXT_GOLDENS = {
+    ("check", "decrease", "--max-size", "6"): (0, (
+        "checked: 249 guarded root instances (size <= 6)\n"
+        "violations: 0\n"
+        "decided by: dflag=7 kappaM=24 tau=218\n"
+        "  eq_diff: tau=102\n"
+        "  eq_refl: tau=3\n"
+        "  int_delta: kappaM=1 tau=36\n"
+        "  merge_cancel: tau=3\n"
+        "  merge_void_left: tau=37\n"
+        "  merge_void_right: tau=37\n"
+        "  rec_succ: dflag=7\n"
+        "  rec_zero: kappaM=23\n"
+        "PASS\n"
+    )),
+    ("check", "local-join", "--max-size", "5"): (0, (
+        "relation: safe-root\n"
+        "forks checked: 3 (size <= 5)\n"
+        "joined: 3\n"
+        "inconclusive: 0\n"
+        "violations: 0\n"
+        "PASS\n"
+    )),
+    ("check", "local-join", "--relation", "safe-ctx", "--budget", "0", "--max-size", "5"): (0, (
+        "relation: safe-ctx\n"
+        "forks checked: 31 (size <= 5)\n"
+        "joined: 27\n"
+        "inconclusive: 4\n"
+        "violations: 0\n"
+        "PASS\n"
+    )),
+    ("check", "unique-nf", "--max-size", "6"): (0, (
+        "terms checked: 658 (size <= 6)\n"
+        "violations: 0\n"
+        "PASS\n"
+    )),
+    ("check", "coverage", "--max-size", "6"): (0, (
+        "int-delta: 37 instance(s)\n"
+        "merge-void-left: 37 instance(s)\n"
+        "merge-void-right: 37 instance(s)\n"
+        "merge-cancel: 3 instance(s)\n"
+        "rec-zero: 23 instance(s)\n"
+        "rec-succ: 7 instance(s)\n"
+        "eqw-diff: 102 instance(s)\n"
+        "eqw-refl: 3 instance(s)\n"
+        "target mismatches: 0\n"
+        "guard-blocked eqw instances checked: 64, violations: 0\n"
+        "PASS\n"
+    )),
+    ("check", "nogo", "--max-size", "6"):
+        (0, "32e2b8ccbc4901c1e8b295ebd3cb37a5ecad929d217d4dad2f45a5aee2b9f683"),
+    ("check", "lpo", "--max-size", "4"): (0, (
+        "orienting precedences: 1680 of 5040\n"
+        "first: void < delta < integrate < merge < app < rec < eqw\n"
+        "instances checked: 17\n"
+        "precedence rank alone: counterexample: merge_cancel on "
+        "(merge (merge void void) (merge void void)): 3 -> 3 (no-strict-drop)\n"
+        "PASS\n"
+    )),
+    ("check", "stress", "--max-size", "6"): (0, (
+        "rec_succ instances: 7 (size <= 6)\n"
+        "fitted identity: size(result) = size(source) + size(step) + 0\n"
+        "identity failures: 0\n"
+        "strict size drops: 0\n"
+        "PASS\n"
+    )),
+    ("witness", "nonjoin"): (0, (
+        "source: (eqw void void)\n"
+        "reduct A [eq_refl]: void\n"
+        "reduct B [eq_diff]: (integrate (merge void void))\n"
+        "normal form A: void\n"
+        "normal form B: (integrate void)\n"
+        "verdict: not joinable (budget 1000)\n"
+    )),
+    ("check", "nogo", "--max-size", "5"):
+        (1, "06f55e95131c43ad10ec5ef8536e2a4de76d5fca71b62a7143a26c4065f3e07b"),
+    ("check", "nogo", "--family", "size", "--max-size", "2"): (1, (
+        "family: size\n"
+        "no counterexample found over 0 instances\n"
+        "FAIL\n"
+    )),
+}
+JSON_DIGESTS = {
+    ("check", "decrease", "--max-size", "6"):
+        (0, "7e0f613f5150ba00263179b055adc01fef8960a4e4adaf2b0d6633e22bd19fac"),
+    ("check", "local-join", "--max-size", "5"):
+        (0, "d0af5c7ca70b4bb708af1116d369a1e9fec7848830d96a299c021b779d508070"),
+    ("check", "local-join", "--relation", "safe-ctx", "--budget", "0", "--max-size", "5"):
+        (0, "40acca9e978b323a141d8bb2b6477a7005b7533b66ef826994c1c88ecbb2cc8a"),
+    ("check", "unique-nf", "--max-size", "6"):
+        (0, "5338571567f6864b62b38c432333a96ed6bb6278e08911267b42c1d77dbbb6d3"),
+    ("check", "coverage", "--max-size", "6"):
+        (0, "c037b28f78084ef693888b7b6889cb77624bd7cb280182460946e4fe3623c8fc"),
+    ("check", "nogo", "--max-size", "6"):
+        (0, "c22ccdbede4044618517bf8cb270754c278fe19aa86f70ca5d5bc223be605073"),
+    ("check", "lpo", "--max-size", "4"):
+        (0, "01a99346f90f0090a70b3286b7526b3a818c8f1fc74b9d664521347e8f8c5026"),
+    ("check", "stress", "--max-size", "6"):
+        (0, "cbb0ca8d3bfefd5a3a218a5025c85777293805d7bd2d4ab43deddb06bc271095"),
+    ("witness", "nonjoin"): (0, "3c93cce0fd05ee764b6f6cfc7ff36e2e75eea1d59d8575984207e9eb2ccb7c4b"),
+    ("check", "nogo", "--max-size", "5"):
+        (1, "70ab3cfbf00b7e8666aee86bf4ab45574bf468ce98dc5a65c1509bd8b1a069a4"),
+    ("check", "nogo", "--family", "size", "--max-size", "2"):
+        (1, "fd43d416695e8423046f7570dbc3e40309fe14994b73c9a2187adfe7ea4bdeb9"),
+}
+
+# The sweeps that run on the worker pool when KO7_WORKERS allows it.
+POOLED = [
+    ("check", "decrease", "--max-size", "6"),
+    ("check", "local-join", "--max-size", "5"),
+    ("check", "local-join", "--relation", "safe-ctx", "--budget", "0", "--max-size", "5"),
+    ("check", "unique-nf", "--max-size", "6"),
+]
+
+
+def _golden_id(argv):
+    return "_".join(a.lstrip("-") for a in argv)
+
+
+def _assert_golden(result, expected):
+    status, out, _ = result
+    want_status, want_out = expected
+    assert status == want_status
+    if "\n" in want_out:
+        assert out == want_out
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == want_out
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("argv", list(TEXT_GOLDENS), ids=_golden_id)
+    def test_text(self, run, argv):
+        _assert_golden(run(*argv), TEXT_GOLDENS[argv])
+
+    @pytest.mark.parametrize("argv", list(JSON_DIGESTS), ids=_golden_id)
+    def test_json(self, run, argv):
+        _assert_golden(run("--json", *argv), JSON_DIGESTS[argv])
+
+    @pytest.mark.parametrize("argv", POOLED, ids=_golden_id)
+    def test_pooled_sweeps_match(self, run, monkeypatch, argv):
+        monkeypatch.setenv("KO7_WORKERS", "2")
+        _assert_golden(run(*argv), TEXT_GOLDENS[argv])
+        _assert_golden(run("--json", *argv), JSON_DIGESTS[argv])
 
 
 class TestUsage:

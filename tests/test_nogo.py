@@ -66,6 +66,33 @@ class TestKappaDepth:
         assert kappa_depth(lhs) == kappa_depth(rhs) == 1
 
 
+# Reference valuation of the linear-poly family, written out per constructor.
+_POLY_COEFS = {
+    "void": (),
+    "delta": (1,),
+    "integrate": (1,),
+    "merge": (1, 1),
+    "app": (1, 1),
+    "rec": (1, 1, 1),
+    "eqw": (1, 1),
+}
+_POLY_CONSTS = {
+    "void": 1,
+    "delta": 0,
+    "integrate": 1,
+    "merge": 1,
+    "app": 0,
+    "rec": 1,
+    "eqw": 3,
+}
+
+
+def _poly_value(t):
+    return _POLY_CONSTS[t.kind] + sum(
+        c * _poly_value(ch) for c, ch in zip(_POLY_COEFS[t.kind], t.children)
+    )
+
+
 class TestCatalog:
     def test_exactly_twelve(self):
         assert [f.name for f in catalog()] == FAMILY_NAMES
@@ -86,6 +113,11 @@ class TestCatalog:
             c = hunt.counterexample
             # non-decrease verified against the family's own order
             assert not family.less(c.value_after, c.value_before)
+
+    def test_linear_poly_matches_reference(self):
+        valuation = catalog_family("linear-poly").valuation
+        for t in enumerate_terms(6):
+            assert valuation(t) == _poly_value(t)
 
     def test_orders_irreflexive_on_sampled_values(self):
         for family in catalog():
