@@ -134,7 +134,11 @@ def _cmd_reaches(args) -> int:
 
 
 def _cmd_witness_nonjoin(args) -> int:
-    witness = confluence.non_join_witness(budget=args.budget, fuel=args.fuel)
+    try:
+        witness = confluence.non_join_witness(budget=args.budget, fuel=args.fuel)
+    except confluence.FuelExhaustedError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VIOLATION
     lines = [
         f"source: {terms.render(witness.source)}",
         f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
@@ -186,7 +190,7 @@ def _cmd_check_unique_nf(args) -> int:
 
 
 def _cmd_check_coverage(args) -> int:
-    report = confluence.root_coverage_sweep(args.max_size)
+    report = confluence.root_coverage_sweep(args.max_size, workers=resolve_workers())
     instances = report.to_json()["instances"]
     lines = [f"{shape}: {count} instance(s)" for shape, count in instances.items()]
     lines.append(f"target mismatches: {len(report.mismatches)}")

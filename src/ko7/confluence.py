@@ -9,7 +9,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .measure import kappa_m
 from .normalize import normalize_full, normalize_safe
 from .rewrite import (
     RelationKind,
@@ -276,7 +275,7 @@ def _shape_targets(t: Term) -> list[tuple[str, Term]]:
         left, right = t.children
         if left != right:
             rows.append(("eqw-diff", integrate(merge(left, right))))
-        elif not kappa_m(left):
+        elif not left.rec_taus:  # kappa_m(left) is empty
             rows.append(("eqw-refl", VOID))
     return rows
 
@@ -297,6 +296,13 @@ class CoverageReport:
             and all(self.instances.get(s, 0) >= 1 for s in _ROOT_SHAPES)
         )
 
+    def merge(self, other: "CoverageReport") -> None:
+        for shape, count in other.instances.items():
+            self.instances[shape] = self.instances.get(shape, 0) + count
+        self.mismatches.extend(other.mismatches)
+        self.vacuous_checked += other.vacuous_checked
+        self.vacuous_violations.extend(other.vacuous_violations)
+
     def to_json(self) -> dict:
         return {
             "maxSize": self.max_size,
@@ -309,16 +315,9 @@ class CoverageReport:
         }
 
 
-def root_coverage_sweep(max_size: int) -> CoverageReport:
-    """Realize each guarded root shape on enumerated terms and confirm that
-    every applicable guarded step lands on the shape's unique target.
-
-    The guard-blocked shape eqw a a with rec-containing a only exists above
-    the enumeration sizes, so its instances are built directly from
-    enumerated arguments a.
-    """
+def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
     report = CoverageReport(max_size)
-    pool = enumerate_terms(max_size)
+    pool = enumerate_terms(max_size)[lo:hi]
     for t in pool:
         rows = _shape_targets(t)
         if not rows:
@@ -331,7 +330,7 @@ def root_coverage_sweep(max_size: int) -> CoverageReport:
             if any(w.result != target for w in witnesses):
                 report.mismatches.append((shape, t))
     for a in pool:
-        if kappa_m(a):
+        if a.rec_taus:  # kappa_m(a) is nonempty
             report.vacuous_checked += 1
             blocked = eqw(a, a)
             if root_steps_safe(blocked):
@@ -339,8 +338,23 @@ def root_coverage_sweep(max_size: int) -> CoverageReport:
     return report
 
 
+def root_coverage_sweep(max_size: int, workers: int = 1) -> CoverageReport:
+    """Realize each guarded root shape on enumerated terms and confirm that
+    every applicable guarded step lands on the shape's unique target.
+
+    The guard-blocked shape eqw a a with rec-containing a only exists above
+    the enumeration sizes, so its instances are built directly from
+    enumerated arguments a.
+    """
+    return run_sweep(_coverage_chunk, max_size, workers)
+
+
 # ---------------------------------------------------------------------------
 # The full-relation non-join witness.
+
+
+class FuelExhaustedError(RuntimeError):
+    """A non-join reduct did not reach its normal form within the fuel."""
 
 
 @dataclass(frozen=True)
@@ -386,7 +400,7 @@ def non_join_witness(budget: int = 1000, fuel: int = 1000) -> NonJoinWitness:
     run_refl = normalize_full(reduct_refl, fuel)
     run_diff = normalize_full(reduct_diff, fuel)
     if not (run_refl.normalized and run_diff.normalized):
-        raise RuntimeError("non-join reducts did not normalize within fuel")
+        raise FuelExhaustedError(f"non-join reducts did not normalize within fuel {fuel}")
     join = joinable(reduct_refl, reduct_diff, RelationKind.FULL_CTX, budget)
     witness = NonJoinWitness(
         source,

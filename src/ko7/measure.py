@@ -19,21 +19,22 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .rewrite import StepWitness, delta_flag, root_steps_safe
-from .terms import Term, enumerate_terms, subterms
+from .terms import Term, enumerate_terms
 from .workers import run_sweep
 
 NatMultiset = Counter  # element -> multiplicity, multiplicities >= 1
 
 
 def tau(t: Term) -> int:
-    """Weighted node count: eqw weighs 3, all other constructors 1."""
-    weight = 3 if t.kind == "eqw" else 1
-    return weight + sum(tau(c) for c in t.children)
+    """Weighted node count: eqw weighs 3, all other constructors 1
+    (cached on the node)."""
+    return t.tau
 
 
 def kappa_m(t: Term) -> NatMultiset:
-    """Multiset of tau values of the rec-rooted subterm occurrences of t."""
-    return Counter(tau(u) for u in subterms(t) if u.kind == "rec")
+    """Multiset of tau values of the rec-rooted subterm occurrences of t
+    (a fresh Counter over the node's cached tuple of them)."""
+    return Counter(t.rec_taus)
 
 
 def dm_less(x: NatMultiset, y: NatMultiset) -> bool:

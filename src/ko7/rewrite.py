@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 from .terms import Position, Term, VOID, app, integrate, merge, rec, replace_at, term_to_json
 
@@ -80,12 +82,8 @@ def delta_flag(t: Term) -> int:
     return int(t.kind == "rec" and t.children[2].kind == "delta")
 
 
-def _has_rec(t: Term) -> bool:
-    return t.kind == "rec" or any(_has_rec(c) for c in t.children)
-
-
 def _kappa_empty(t: Term) -> bool:
-    return not _has_rec(t)
+    return not t.rec_taus
 
 
 def _root_rewrites(t: Term, safe: bool) -> list[tuple[RuleId, Term]]:
@@ -131,36 +129,18 @@ def root_steps_safe(t: Term) -> list[StepWitness]:
 
 # context closure of the safe relation descends these signatures only
 _SAFE_CTX_KINDS = frozenset({"integrate", "merge", "app", "rec"})
+# the only constructors with a root rule
+_REDEX_KINDS = frozenset({"merge", "rec", "integrate", "eqw"})
+# child indices by arity, last first, so that the stack pops them in order
+_REVERSED_INDICES = {n: range(n - 1, -1, -1) for n in (1, 2, 3)}
 
 
-def _lift(t: Term, index: int, w: StepWitness) -> StepWitness:
-    return StepWitness(
-        w.rule, (index,) + w.position, t, replace_at(t, (index,), w.result)
-    )
-
-
-def ctx_steps_safe(t: Term) -> list[StepWitness]:
-    """Safe steps under the partial context closure (no delta, no eqw)."""
-    out = root_steps_safe(t)
-    if t.kind in _SAFE_CTX_KINDS:
-        for i, child in enumerate(t.children):
-            out.extend(_lift(t, i, w) for w in ctx_steps_safe(child))
-    return out
-
-
-def ctx_steps_full(t: Term) -> list[StepWitness]:
-    """Full steps at every position, closed under all constructors."""
-    out = root_steps_full(t)
-    for i, child in enumerate(t.children):
-        out.extend(_lift(t, i, w) for w in ctx_steps_full(child))
-    return out
-
-
-def _first_step_full(t: Term) -> StepWitness | None:
-    """ctx_steps_full(t)[0], or None when t has no full step, without
-    building the other witnesses: the first node in pre-order with a root
-    rewrite, under its first rule.  Iterative, so linear in the nodes
-    visited before the redex plus the redex's depth."""
+def _ctx_steps(t: Term, safe: bool) -> Iterator[StepWitness]:
+    """Every context step of t in (position, rule) order: a pre-order walk
+    with an explicit stack that yields each rewrite of each visited node,
+    rebuilt from the root by one replace_at.  The safe relation descends
+    only below _SAFE_CTX_KINDS; its root rules still apply at every node
+    it reaches."""
     path: list[int] = []  # position of the node being visited
     stack = [(0, 0, t)]  # (depth, index in parent, node), next on top
     while stack:
@@ -168,14 +148,35 @@ def _first_step_full(t: Term) -> StepWitness | None:
         if depth:
             del path[depth - 1 :]
             path.append(index)
-        rewrites = _root_rewrites(node, safe=False)
-        if rewrites:
-            rule, rhs = rewrites[0]
-            position = tuple(path)
-            return StepWitness(rule, position, t, replace_at(t, position, rhs))
+        kind = node.kind
+        if kind in _REDEX_KINDS:
+            rewrites = _root_rewrites(node, safe)
+            if rewrites:
+                position = tuple(path)
+                for rule, rhs in rewrites:
+                    yield StepWitness(rule, position, t, replace_at(t, position, rhs))
         kids = node.children
-        stack.extend((depth + 1, i, kids[i]) for i in range(len(kids) - 1, -1, -1))
-    return None
+        if kids and (not safe or kind in _SAFE_CTX_KINDS):
+            depth += 1
+            stack.extend(zip(repeat(depth), _REVERSED_INDICES[len(kids)], reversed(kids)))
+
+
+def ctx_steps_safe(t: Term) -> list[StepWitness]:
+    """Safe steps under the partial context closure (no delta, no eqw)."""
+    return list(_ctx_steps(t, safe=True))
+
+
+def ctx_steps_full(t: Term) -> list[StepWitness]:
+    """Full steps at every position, closed under all constructors."""
+    return list(_ctx_steps(t, safe=False))
+
+
+def _first_step_full(t: Term) -> StepWitness | None:
+    """ctx_steps_full(t)[0], or None when t has no full step, without
+    building the other witnesses: the walk stops at the first node with a
+    root rewrite, so it is linear in the nodes visited before the redex
+    plus the redex's depth."""
+    return next(_ctx_steps(t, safe=False), None)
 
 
 _STEP_FUNCTIONS = {

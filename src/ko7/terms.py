@@ -12,7 +12,6 @@ immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -53,23 +52,103 @@ class InvalidPositionError(TermError):
         self.index = index
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Term:
-    """One node of the object language; equality is structural."""
+    """One node of the object language; immutable, equality is structural.
 
-    kind: str
-    children: tuple["Term", ...] = ()
+    Besides `kind` and `children`, a node caches four facts about itself in
+    its slots, each computed on first use from its children's cached values
+    and never again: its hash, its `size`, its `tau` (the weighted node
+    count of `ko7.measure`: eqw weighs 3, every other constructor 1) and
+    `rec_taus`, the tau of every rec-rooted subterm occurrence in pre-order
+    (the elements of kappa_m).  Nothing is computed at construction: most
+    nodes built by `replace_at` or by the no-go searches are never hashed
+    or measured.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ARITY:
-            raise TermError(f"unknown constructor {self.kind!r}")
-        if len(self.children) != ARITY[self.kind]:
-            raise TermError(
-                f"{self.kind} takes {ARITY[self.kind]} children, got {len(self.children)}"
-            )
+    __slots__ = ("kind", "children", "_hash", "_size", "_tau", "_rec_taus")
+
+    def __init__(self, kind: str, children: tuple["Term", ...] = ()):
+        if ARITY.get(kind) != len(children):
+            if kind not in ARITY:
+                raise TermError(f"unknown constructor {kind!r}")
+            raise TermError(f"{kind} takes {ARITY[kind]} children, got {len(children)}")
+        _set(self, "kind", kind)
+        _set(self, "children", children)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Term, (self.kind, self.children)
 
     def __repr__(self):
         return f"<{render(self)}>"
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.kind, self.children))
+            _set(self, "_hash", h)
+            return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and hash(self) == hash(other)
+            and self.children == other.children
+        )
+
+    def _fill(self) -> None:
+        """Cache size, tau and rec_taus from the children's cached values."""
+        nodes = 1
+        tau = 3 if self.kind == "eqw" else 1
+        recs: tuple[int, ...] = ()
+        for c in self.children:
+            try:
+                nodes += c._size
+            except AttributeError:
+                c._fill()
+                nodes += c._size
+            tau += c._tau
+            recs += c._rec_taus
+        _set(self, "_size", nodes)
+        _set(self, "_tau", tau)
+        _set(self, "_rec_taus", (tau,) + recs if self.kind == "rec" else recs)
+
+    @property
+    def size(self) -> int:
+        try:
+            return self._size
+        except AttributeError:
+            self._fill()
+            return self._size
+
+    @property
+    def tau(self) -> int:
+        try:
+            return self._tau
+        except AttributeError:
+            self._fill()
+            return self._tau
+
+    @property
+    def rec_taus(self) -> tuple[int, ...]:
+        try:
+            return self._rec_taus
+        except AttributeError:
+            self._fill()
+            return self._rec_taus
 
 
 VOID = Term("void")
@@ -105,7 +184,7 @@ def eqw(left: Term, right: Term) -> Term:
 
 def size(t: Term) -> int:
     """Number of constructor nodes."""
-    return 1 + sum(size(c) for c in t.children)
+    return t.size
 
 
 def render(t: Term) -> str:

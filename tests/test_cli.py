@@ -184,6 +184,25 @@ class TestWitnessNonjoin:
             "c": [{"k": "void", "c": []}],
         }
 
+    def test_exhausted_fuel_exits_1_without_traceback(self):
+        src = str(Path(ko7.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "ko7.cli", "witness", "nonjoin", "--fuel", "0"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: non-join reducts did not normalize within fuel 0\n"
+
+    def test_one_unit_of_fuel_suffices(self, run):
+        status, out, err = run("witness", "nonjoin", "--fuel", "1")
+        assert status == 0
+        assert out.endswith("verdict: not joinable (budget 1000)\n")
+        assert err == ""
+
 
 class TestChecks:
     def test_decrease(self, run):
@@ -367,6 +386,7 @@ POOLED = [
     ("check", "local-join", "--max-size", "5"),
     ("check", "local-join", "--relation", "safe-ctx", "--budget", "0", "--max-size", "5"),
     ("check", "unique-nf", "--max-size", "6"),
+    ("check", "coverage", "--max-size", "6"),
 ]
 
 

@@ -143,6 +143,11 @@ class TestCoverage:
         assert report.vacuous_checked >= 1
         assert report.vacuous_violations == []
 
+    def test_workers_do_not_change_report(self):
+        serial = root_coverage_sweep(6)
+        parallel = root_coverage_sweep(6, workers=2)
+        assert serial.to_json() == parallel.to_json()
+
     def test_rec_succ_unique_target(self):
         from ko7.rewrite import root_steps_safe
         from ko7.terms import app, rec as rec_

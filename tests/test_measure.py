@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from collections import Counter
 
 from hypothesis import given, strategies as st
@@ -22,10 +23,70 @@ from ko7.terms import (
     eqw,
     integrate,
     merge,
+    parse,
+    positions,
     rec,
+    replace_at,
     size,
     subterms,
+    term_from_json,
+    term_to_json,
 )
+
+random_terms = st.recursive(
+    st.just(VOID),
+    lambda child: st.one_of(
+        st.builds(delta, child),
+        st.builds(integrate, child),
+        st.builds(merge, child, child),
+        st.builds(app, child, child),
+        st.builds(rec, child, child, child),
+        st.builds(eqw, child, child),
+    ),
+    max_leaves=15,
+)
+
+def reference_tau(t) -> int:
+    """Reference oracle: the plain recursive weighted node count."""
+    weight = 3 if t.kind == "eqw" else 1
+    return weight + sum(reference_tau(c) for c in t.children)
+
+
+def reference_kappa_m(t) -> Counter:
+    """Reference oracle: tau of every rec-rooted subterm occurrence."""
+    return Counter(reference_tau(u) for u in subterms(t) if u.kind == "rec")
+
+
+def assert_cached_measure(t):
+    assert tau(t) == reference_tau(t)
+    assert kappa_m(t) == reference_kappa_m(t)
+    assert measure3(t) == Measure3(delta_flag(t), reference_kappa_m(t), reference_tau(t))
+
+
+class TestCachedMeasure:
+    def test_enumerated(self):
+        for t in enumerate_terms(7):
+            assert_cached_measure(t)
+
+    @given(random_terms)
+    def test_random(self, t):
+        assert_cached_measure(t)
+
+    def test_built(self):
+        source = "(rec (eqw void (rec void void void)) (merge void void) (delta (rec void void void)))"
+        parsed = parse(source)
+        assert_cached_measure(parsed)
+        for p in positions(parsed):
+            assert_cached_measure(replace_at(parsed, p, rec(eqw(VOID, VOID), VOID, VOID)))
+        assert_cached_measure(term_from_json(term_to_json(parsed)))
+        assert_cached_measure(pickle.loads(pickle.dumps(parsed)))
+
+    def test_kappa_m_is_a_fresh_counter(self):
+        t = merge(rec(VOID, VOID, VOID), VOID)
+        kappa_m(t)[4] += 10
+        kappa_m(t).clear()
+        assert kappa_m(t) == Counter({4: 1})
+
 
 multisets = st.lists(st.integers(min_value=0, max_value=5), max_size=5).map(Counter)
 

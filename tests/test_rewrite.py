@@ -24,6 +24,36 @@ from ko7.terms import (
 
 RULE_ORDER = list(RuleId)
 
+# context closure of the safe relation descends these signatures only
+SAFE_CTX_KINDS = {"integrate", "merge", "app", "rec"}
+
+
+def _lift(t, index, w):
+    return StepWitness(w.rule, (index,) + w.position, t, replace_at(t, (index,), w.result))
+
+
+def reference_ctx_steps_safe(t):
+    """Reference oracle: the recursive context closure of the safe root
+    steps, lifting each child's witnesses one level at a time."""
+    out = root_steps_safe(t)
+    if t.kind in SAFE_CTX_KINDS:
+        for i, child in enumerate(t.children):
+            out.extend(_lift(t, i, w) for w in reference_ctx_steps_safe(child))
+    return out
+
+
+def reference_ctx_steps_full(t):
+    """Reference oracle: the recursive context closure of the full root
+    steps."""
+    out = root_steps_full(t)
+    for i, child in enumerate(t.children):
+        out.extend(_lift(t, i, w) for w in reference_ctx_steps_full(child))
+    return out
+
+
+def _witness_rows(ws):
+    return [(w.rule, w.position, w.source, w.result) for w in ws]
+
 
 def expected_root_rewrites(t):
     """Independent re-derivation of the unguarded rule table: every
@@ -172,6 +202,24 @@ class TestContextClosures:
         assert steps(t, RelationKind.SAFE_ROOT) == root_steps_safe(t)
         assert steps(t, RelationKind.SAFE_CTX) == ctx_steps_safe(t)
         assert steps(t, RelationKind.FULL_CTX) == ctx_steps_full(t)
+
+
+class TestContextWalkMatchesReference:
+    def assert_same(self, t):
+        assert _witness_rows(ctx_steps_safe(t)) == _witness_rows(reference_ctx_steps_safe(t))
+        assert _witness_rows(ctx_steps_full(t)) == _witness_rows(reference_ctx_steps_full(t))
+
+    def test_enumerated(self):
+        for t in enumerate_terms(7):
+            self.assert_same(t)
+
+    def test_delta_chains(self):
+        for n in range(41):
+            arg = VOID
+            for _ in range(n):
+                arg = delta(arg)
+            self.assert_same(rec(VOID, VOID, arg))
+            self.assert_same(merge(rec(VOID, VOID, arg), integrate(arg)))
 
 
 class TestWitnessSoundness:

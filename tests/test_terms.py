@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -106,6 +107,87 @@ def reference_replace_at(t: Term, position, replacement: Term) -> Term:
     kids = list(t.children)
     kids[index] = reference_replace_at(kids[index], position[1:], replacement)
     return Term(t.kind, tuple(kids))
+
+
+def reference_size(t: Term) -> int:
+    """Reference oracle: the plain recursive node count."""
+    return 1 + sum(reference_size(c) for c in t.children)
+
+
+class _Hashed:
+    """Stands in for a child whose hash is already known."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def reference_hash(t: Term) -> int:
+    """Reference oracle: hash((kind, children)), the frozen dataclass's
+    hash, with every child's hash recomputed recursively instead of read
+    from its cache."""
+    return hash((t.kind, tuple(_Hashed(reference_hash(c)) for c in t.children)))
+
+
+def built_terms():
+    """Terms built every way the library builds them, none from the
+    enumeration caches: parse, replace_at, term_from_json and pickle."""
+    source = "(rec (eqw void (delta void)) (merge void void) (delta (rec void void void)))"
+    parsed = parse(source)
+    out = [parsed, parse(source)]
+    out += [replace_at(parsed, p, rec(VOID, VOID, VOID)) for p in positions(parsed)]
+    out.append(term_from_json(term_to_json(parsed)))
+    out.append(pickle.loads(pickle.dumps(parsed)))
+    return out
+
+
+class TestCachedFacts:
+    def assert_facts(self, t: Term):
+        assert size(t) == reference_size(t)
+        assert hash(t) == reference_hash(t) == hash((t.kind, t.children))
+
+    def test_enumerated(self):
+        for t in enumerate_terms(7):
+            self.assert_facts(t)
+
+    @given(random_terms)
+    def test_random(self, t):
+        self.assert_facts(t)
+
+    def test_built(self):
+        for t in built_terms():
+            self.assert_facts(t)
+
+    def test_pickle_round_trip(self):
+        for t in enumerate_terms(5):
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and back is not t
+            self.assert_facts(back)
+
+    def test_separate_parses_are_equal(self):
+        text = "(merge (rec void void (delta void)) (eqw void void))"
+        a, b = parse(text), parse(text)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert not a != b
+        assert a != parse("(merge (rec void void (delta void)) (eqw void (delta void)))")
+
+    def test_equality_is_structural(self):
+        pool = enumerate_terms(5)
+        for a, b in itertools.product(pool[:60], pool[:60]):
+            assert (a == b) == (render(a) == render(b))
+        assert VOID != "void" and VOID != ("void", ())
+
+    def test_immutable(self):
+        t = merge(VOID, VOID)
+        for name in ("kind", "children", "size", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, VOID)
+        with pytest.raises(AttributeError):
+            del t.kind
+        assert t == merge(VOID, VOID)
 
 
 class TestParseRender:
