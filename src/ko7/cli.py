@@ -81,35 +81,24 @@ def _cmd_normalize(args) -> int:
     for t in _read_terms(args):
         if args.relation == "safe":
             trace = normalize.normalize_safe(t)
-            if args.json:
-                print(json.dumps(trace.to_json(), sort_keys=True))
-            else:
-                if args.trace:
-                    for s in trace.steps:
-                        print(
-                            f"{s.witness.rule.value}: "
-                            f"{terms.render(s.witness.source)} -> "
-                            f"{terms.render(s.witness.result)}   "
-                            f"{s.before} -> {s.after}"
-                        )
-                print(terms.render(trace.final_term))
+            lines = [
+                f"{s.witness.rule.value}: {terms.render(s.witness.source)} -> "
+                f"{terms.render(s.witness.result)}   {s.before} -> {s.after}"
+                for s in trace.steps
+            ] if args.trace else []
+            lines.append(terms.render(trace.final_term))
+            _emit(args, trace.to_json(), "\n".join(lines))
         else:
             run = normalize.normalize_full(t, args.fuel)
-            if args.json:
-                print(json.dumps(run.to_json(), sort_keys=True))
+            lines = [_witness_line(w) for w in run.steps] if args.trace else []
+            if run.normalized:
+                lines.append(terms.render(run.term))
             else:
-                if args.trace:
-                    for w in run.steps:
-                        print(_witness_line(w))
-                if run.normalized:
-                    print(terms.render(run.term))
-                else:
-                    print(
-                        f"fuel exhausted after {run.steps_taken} steps at: "
-                        f"{terms.render(run.term)}"
-                    )
-            if not run.normalized:
+                lines.append(
+                    f"fuel exhausted after {run.steps_taken} steps at: {terms.render(run.term)}"
+                )
                 status = EXIT_VIOLATION
+            _emit(args, run.to_json(), "\n".join(lines))
     return status
 
 

@@ -18,7 +18,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .measure import lex3_less, measure3
 from .rewrite import (
@@ -35,7 +35,6 @@ from .terms import (
     KINDS,
     Term,
     VOID,
-    app,
     delta,
     enumerate_terms,
     merge,
@@ -116,21 +115,13 @@ _POLY_INTERPRETATION = LinearInterpretation(
 )
 
 
+# Symbol weights (Knuth-Bendix) are the linear interpretations whose child
+# coefficients are all 1: a term's value is the sum of its symbols' weights.
+_UNIT_COEFS = tuple((1,) * ARITY[kind] for kind in KINDS)
+
 # Representative symbol weights: heavy delta and eqw keep the seven
 # non-duplicating rules oriented; the duplicated step operand still wins.
-_KBO_WEIGHTS = {
-    "void": 1,
-    "delta": 3,
-    "integrate": 1,
-    "merge": 1,
-    "app": 1,
-    "rec": 1,
-    "eqw": 4,
-}
-
-
-def symbol_weight(t: Term, weights: dict[str, int]) -> int:
-    return sum(weights[u.kind] for u in subterms(t))
+_KBO_INTERPRETATION = LinearInterpretation(_UNIT_COEFS, consts=(1, 3, 1, 1, 1, 1, 4))
 
 
 def catalog() -> list[MeasureFamily]:
@@ -222,7 +213,7 @@ def catalog() -> list[MeasureFamily]:
             "kbo-weight",
             "representative linear symbol-weight sum (see kbo_search for "
             "the exhaustive sweep)",
-            lambda t: symbol_weight(t, _KBO_WEIGHTS),
+            _KBO_INTERPRETATION.value,
             operator.lt,
             "nat",
             focus=(RuleId.REC_SUCC,),
@@ -529,7 +520,12 @@ class LpoReport:
 
     @property
     def ok(self) -> bool:
-        return self.orienting_count >= 1 and self.rank_only.found
+        # with no instance every precedence orients vacuously
+        return (
+            self.instances_checked >= 1
+            and self.orienting_count >= 1
+            and self.rank_only.found
+        )
 
     def to_json(self) -> dict:
         return {
@@ -557,25 +553,32 @@ def lpo_boundary_report(max_size: int = 5, hunt_size: int = 7) -> LpoReport:
 # Exhaustive searches over interpretation families.
 
 
-def _grow_step_operand(
+def _pump_step_operand(
     interp: LinearInterpretation, cap: int = 64
-) -> tuple[Term, Term, Term]:
-    """Build a rec_succ instance (step, lhs, rhs) on which `interp` fails
-    to drop strictly, by pumping the step operand until the duplicated
-    copy overtakes the left-hand side."""
-    s = VOID
-    if interp.value(VOID) == 0:
+) -> tuple[Term, int, int]:
+    """A step operand s on which `interp` fails to drop strictly on the
+    rec_succ instance rec void s (delta void) -> app s (rec void s void),
+    with the values of both sides.
+
+    s is pumped to merge s s until the duplicated copy overtakes the
+    left-hand side.  The values follow in closed form from the constants
+    and coefficients, so no instance is built or walked."""
+    c_void, c_delta, _, c_merge, c_app, c_rec, _ = interp.consts  # KINDS order
+    _, (d1,), _, (m1, m2), (a1, a2), (r1, r2, r3), _ = interp.coefs
+    s, value = VOID, c_void
+    if c_void == 0:
         # seed a positive value if any constructor constant allows one
-        for i, kind in enumerate(KINDS):
-            if kind != "void" and interp.consts[i] > 0:
-                s = Term(kind, (VOID,) * ARITY[kind])
+        for kind, const in zip(KINDS, interp.consts):
+            if kind != "void" and const > 0:
+                s, value = Term(kind, (VOID,) * ARITY[kind]), const
                 break
+    rec_void = c_rec + r1 * c_void  # rec void _ _, less its step and argument terms
     for _ in range(cap):
-        lhs = rec(VOID, s, delta(VOID))
-        rhs = app(s, rec(VOID, s, VOID))
-        if interp.value(lhs) <= interp.value(rhs):
-            return s, lhs, rhs
-        s = merge(s, s)
+        before = rec_void + r2 * value + r3 * (c_delta + d1 * c_void)
+        after = c_app + a1 * value + a2 * (rec_void + r2 * value + r3 * c_void)
+        if before <= after:
+            return s, before, after
+        s, value = merge(s, s), c_merge + (m1 + m2) * value
     raise RuntimeError("failed to construct a non-dropping rec_succ instance")
 
 
@@ -660,30 +663,36 @@ def _json_or_none(report: Optional[CounterexampleReport]) -> Optional[dict]:
     return report.to_json() if report else None
 
 
-def _rec_succ_report(
-    name: str, lhs: Term, rhs: Term, before: int, after: int
+def _linear_family(name: str, interp: LinearInterpretation) -> MeasureFamily:
+    return MeasureFamily(name, "linear interpretation", interp.value, operator.lt, "nat")
+
+
+def _rec_succ_example(
+    name: str, interp: LinearInterpretation, s: Term
 ) -> Optional[CounterexampleReport]:
-    """The rec_succ instance lhs -> rhs as a counterexample, or None when
-    its value strictly drops (the candidate orients the instance)."""
-    if after < before:
-        return None
-    witness = StepWitness(RuleId.REC_SUCC, (), lhs, rhs)
-    verdict = "increase" if after > before else "no-strict-drop"
-    return CounterexampleReport(name, witness, before, after, verdict, "nat")
+    """The rec_succ instance on step operand s as a counterexample, or None
+    when its value strictly drops (the candidate orients the instance)."""
+    witness = root_steps_full(rec(VOID, s, delta(VOID)))[0]
+    return _no_drop_report(_linear_family(name, interp), witness)
 
 
-def _interp_counterexample(
-    interp: LinearInterpretation, name: str
-) -> Optional[CounterexampleReport]:
-    _, lhs, rhs = _grow_step_operand(interp)
-    return _rec_succ_report(name, lhs, rhs, interp.value(lhs), interp.value(rhs))
-
-
-def _interp_fails_within(interp: LinearInterpretation, max_size: int) -> bool:
-    for w in iter_witnesses(RelationKind.FULL_ROOT, max_size):
-        if interp.value(w.result) >= interp.value(w.source):
-            return True
-    return False
+def _pump_candidates(
+    name: str, candidates: Iterable[LinearInterpretation]
+) -> tuple[int, int, Optional[CounterexampleReport]]:
+    """(candidates checked, candidates whose pumped instance strictly drops,
+    the first other candidate's instance as a counterexample).  Only that
+    one instance is built."""
+    checked = 0
+    orienting = 0
+    example: Optional[CounterexampleReport] = None
+    for interp in candidates:
+        checked += 1
+        s, before, after = _pump_step_operand(interp)
+        if after < before:
+            orienting += 1
+        elif example is None:
+            example = _rec_succ_example(name, interp, s)
+    return checked, orienting, example
 
 
 def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
@@ -695,10 +704,10 @@ def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
     against r2 on the left (app coefficients a1, a2; rec step coefficient
     r2), a strict excess for every choice, so a tall enough step operand
     defeats any assignment.  The excess is checked for every (r2, a1, a2)
-    combination, and non-dropping instances are constructed and evaluated
-    concretely for a deterministic sample of full assignments; a sampled
-    assignment whose constructed instance strictly drops counts as
-    orienting.
+    combination, and for a deterministic sample of full assignments the
+    step operand is pumped on values, in closed form, until the instance
+    fails to drop; a sampled assignment whose pumped instance strictly
+    drops counts as orienting.
     """
     if coef_bound < 1:
         raise ValueError("coef_bound must be >= 1")
@@ -706,23 +715,19 @@ def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
     min_excess = min((a1 + a2 * r2) - r2 for r2, a1, a2 in combos)
 
     samples = _sample_interpretations(coef_bound, sample_count)
-    reports = [_interp_counterexample(interp, "linear-poly") for interp in samples]
-    confirmed = [r for r in reports if r is not None]
-
-    resistant_small = _interp_fails_within(SCAN_RESISTANT_INTERPRETATION, 6)
-    resistant_example = _interp_counterexample(
-        SCAN_RESISTANT_INTERPRETATION, "linear-poly"
-    )
+    checked, orienting, example = _pump_candidates("linear-poly", samples)
+    resistant = SCAN_RESISTANT_INTERPRETATION
+    resistant_s, _, _ = _pump_step_operand(resistant)
     return PolyReport(
         coef_bound,
         _linear_space_size(coef_bound),
-        len(reports) - len(confirmed),
+        orienting,
         len(combos),
         min_excess,
-        len(confirmed),
-        confirmed[0] if confirmed else None,
-        resistant_small,
-        resistant_example,
+        checked - orienting,
+        example,
+        find_violation(_linear_family("linear-poly", resistant), max_size=6).found,
+        _rec_succ_example("linear-poly", resistant, resistant_s),
     )
 
 
@@ -746,46 +751,21 @@ class KboReport:
         }
 
 
-def _weight_counterexample(weights: dict[str, int]) -> tuple[Term, Term, int, int]:
-    """A rec_succ instance whose total symbol weight does not drop under
-    `weights`, grown by pumping the step operand when necessary."""
-    s = VOID
-    if all(w == 0 for w in weights.values()):
-        lhs = rec(VOID, s, delta(VOID))
-        rhs = app(s, rec(VOID, s, VOID))
-        return lhs, rhs, symbol_weight(lhs, weights), symbol_weight(rhs, weights)
-    if weights["void"] == 0:
-        for kind in KINDS:
-            if kind != "void" and weights[kind] > 0:
-                s = Term(kind, (VOID,) * ARITY[kind])
-                break
-    for _ in range(64):
-        lhs = rec(VOID, s, delta(VOID))
-        rhs = app(s, rec(VOID, s, VOID))
-        wl, wr = symbol_weight(lhs, weights), symbol_weight(rhs, weights)
-        if wr >= wl:
-            return lhs, rhs, wl, wr
-        s = merge(s, s)
-    raise RuntimeError("failed to construct a non-dropping weighted instance")
-
-
 def kbo_search(weight_bound: int = 3) -> KboReport:
     """Exhaustive sweep over all symbol-weight vectors in 0..weight_bound:
     none makes total weight strictly drop on every rule instance, because
     the duplicated step operand adds its own full weight to the right-hand
-    side of rec_succ.  A vector whose constructed instance strictly drops
+    side of rec_succ.
+
+    A weight vector is the linear interpretation with all-ones
+    coefficients, so the step operand is pumped on values, in closed form,
+    as in poly_search: the weight difference of the instance is
+    w_app + W(s) - w_delta.  A vector whose pumped instance strictly drops
     counts as orienting."""
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
-    checked = 0
-    orienting = 0
-    example: Optional[CounterexampleReport] = None
-    for vector in itertools.product(range(weight_bound + 1), repeat=len(KINDS)):
-        checked += 1
-        weights = dict(zip(KINDS, vector))
-        lhs, rhs, wl, wr = _weight_counterexample(weights)
-        if wr < wl:
-            orienting += 1
-        elif example is None:
-            example = _rec_succ_report("kbo-weight", lhs, rhs, wl, wr)
+    vectors = itertools.product(range(weight_bound + 1), repeat=len(KINDS))
+    checked, orienting, example = _pump_candidates(
+        "kbo-weight", (LinearInterpretation(_UNIT_COEFS, w) for w in vectors)
+    )
     return KboReport(weight_bound, checked, orienting, example)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -270,10 +271,30 @@ class TestChecks:
         assert "orienting precedences:" in out
         assert "precedence rank alone: counterexample" in out
 
+    @pytest.mark.parametrize("max_size", ["1", "2"])
+    def test_lpo_without_instances_fails(self, run, max_size):
+        # with no rule instance every precedence orients vacuously
+        status, out, _ = run("check", "lpo", "--max-size", max_size)
+        assert status == 1
+        assert "instances checked: 0\n" in out
+        assert out.endswith("\nFAIL\n")
+        status, out, _ = run("--json", "check", "lpo", "--max-size", max_size)
+        assert status == 1
+        assert json.loads(out)["instancesChecked"] == 0
 
-# Every check report and the nonjoin witness, pinned byte for byte: argv ->
+    def test_lpo_smallest_passing_size(self, run):
+        status, out, _ = run("check", "lpo", "--max-size", "3")
+        assert status == 0
+        assert out.startswith("orienting precedences: 1680 of 5040\n")
+        assert "instances checked: 6\n" in out
+        assert out.endswith("\nPASS\n")
+
+
+# Every check report, the nonjoin witness and the normalize forms (a safe
+# trace, a full trace, and exhausted fuel), pinned byte for byte: argv ->
 # (exit status, stdout).  Outputs longer than a dozen lines, and every JSON
 # form, are kept as the SHA-256 digest of stdout.
+_FULL_RUN = ("normalize", "(eqw (rec void void (delta void)) (merge void void))", "--relation", "full")
 TEXT_GOLDENS = {
     ("check", "decrease", "--max-size", "6"): (0, (
         "checked: 249 guarded root instances (size <= 6)\n"
@@ -355,6 +376,31 @@ TEXT_GOLDENS = {
         "no counterexample found over 0 instances\n"
         "FAIL\n"
     )),
+    ("normalize", "(merge void (merge void (integrate (delta void))))", "--trace"): (0, (
+        "merge_void_left: (merge void (merge void (integrate (delta void)))) -> "
+        "(merge void (integrate (delta void)))   (0, {}, 7) -> (0, {}, 5)\n"
+        "merge_void_left: (merge void (integrate (delta void))) -> "
+        "(integrate (delta void))   (0, {}, 5) -> (0, {}, 3)\n"
+        "int_delta: (integrate (delta void)) -> void   (0, {}, 3) -> (0, {}, 1)\n"
+        "void\n"
+    )),
+    (*_FULL_RUN, "--trace"): (0, (
+        "eq_diff @ [] -> (integrate (merge (rec void void (delta void)) (merge void void)))\n"
+        "rec_succ @ [0,0] -> (integrate (merge (app void (rec void void void)) (merge void void)))\n"
+        "rec_zero @ [0,0,1] -> (integrate (merge (app void void) (merge void void)))\n"
+        "merge_void_left @ [0,1] -> (integrate (merge (app void void) void))\n"
+        "merge_void_right @ [0] -> (integrate (app void void))\n"
+        "(integrate (app void void))\n"
+    )),
+    (*_FULL_RUN, "--trace", "--fuel", "2"): (1, (
+        "eq_diff @ [] -> (integrate (merge (rec void void (delta void)) (merge void void)))\n"
+        "rec_succ @ [0,0] -> (integrate (merge (app void (rec void void void)) (merge void void)))\n"
+        "fuel exhausted after 2 steps at: "
+        "(integrate (merge (app void (rec void void void)) (merge void void)))\n"
+    )),
+    ("normalize", "(eqw void void)", "--relation", "full", "--fuel", "0"): (1, (
+        "fuel exhausted after 0 steps at: (eqw void void)\n"
+    )),
 }
 JSON_DIGESTS = {
     ("check", "decrease", "--max-size", "6"):
@@ -378,6 +424,14 @@ JSON_DIGESTS = {
         (1, "70ab3cfbf00b7e8666aee86bf4ab45574bf468ce98dc5a65c1509bd8b1a069a4"),
     ("check", "nogo", "--family", "size", "--max-size", "2"):
         (1, "fd43d416695e8423046f7570dbc3e40309fe14994b73c9a2187adfe7ea4bdeb9"),
+    ("normalize", "(merge void (merge void (integrate (delta void))))", "--trace"):
+        (0, "8e8499601a938ef505f52d796d7e3820e1322b6c1d8450e3143ffa839b2882f0"),
+    (*_FULL_RUN, "--trace"):
+        (0, "e20d6cdf586fa2109981c39a6a2d1fc550f83b41ae759c2c7848c7dbb49c2ddc"),
+    (*_FULL_RUN, "--trace", "--fuel", "2"):
+        (1, "4c5d0b7f95c25559701e7b5d4f8ef35849b754768fbeed375bfede8dbfff45df"),
+    ("normalize", "(eqw void void)", "--relation", "full", "--fuel", "0"):
+        (1, "9618dfbb2eb5785f4045b50d1e20973d24479355a3bb171c2babfd986526c195"),
 }
 
 # The sweeps that run on the worker pool when KO7_WORKERS allows it.
@@ -463,3 +517,31 @@ def test_import_does_not_load_the_process_pool():
         timeout=60,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_no_assert_in_the_library():
+    # `python -O` strips assert statements, so no verdict may rest on one
+    package = Path(ko7.__file__).resolve().parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_nogo_catalog_under_python_O(mode):
+    argv = ("check", "nogo", "--max-size", "6")
+    flags = ["--json"] if mode == "json" else []
+    src = str(Path(ko7.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "ko7.cli", *flags, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    goldens = JSON_DIGESTS if mode == "json" else TEXT_GOLDENS
+    _assert_golden((result.returncode, result.stdout, result.stderr), goldens[argv])

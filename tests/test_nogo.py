@@ -1,9 +1,14 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
+
+import pytest
 
 from ko7 import nogo
 from ko7.nogo import (
     SCAN_RESISTANT_INTERPRETATION,
+    LinearInterpretation,
     canonical_family,
     catalog,
     catalog_family,
@@ -18,13 +23,14 @@ from ko7.nogo import (
     orients_all,
     poly_search,
     search_precedence,
-    symbol_weight,
     tree_depth,
 )
 from ko7.rewrite import RelationKind, RuleId, root_steps_full
 from ko7.terms import (
+    ARITY,
     KINDS,
     VOID,
+    Term,
     app,
     delta,
     enumerate_terms,
@@ -33,6 +39,7 @@ from ko7.terms import (
     merge,
     rec,
     size,
+    subterms,
 )
 
 FAMILY_NAMES = [
@@ -93,6 +100,71 @@ def _poly_value(t):
     )
 
 
+# Reference definitions of the two pumping searches on built terms: a
+# symbol-weight sum over subterms, and the instance built and walked for
+# every pumped step operand.  The closed-form routine must agree with them.
+_KBO_WEIGHTS = {
+    "void": 1,
+    "delta": 3,
+    "integrate": 1,
+    "merge": 1,
+    "app": 1,
+    "rec": 1,
+    "eqw": 4,
+}
+
+
+def symbol_weight(t, weights):
+    return sum(weights[u.kind] for u in subterms(t))
+
+
+def reference_value(interp, t):
+    i = KINDS.index(t.kind)
+    return interp.consts[i] + sum(
+        c * reference_value(interp, ch) for c, ch in zip(interp.coefs[i], t.children)
+    )
+
+
+def reference_grow_step_operand(interp, cap=64):
+    """(s, value(lhs), value(rhs)) of the pumped rec_succ instance."""
+    s = VOID
+    if reference_value(interp, VOID) == 0:
+        for i, kind in enumerate(KINDS):
+            if kind != "void" and interp.consts[i] > 0:
+                s = Term(kind, (VOID,) * ARITY[kind])
+                break
+    for _ in range(cap):
+        lhs = rec(VOID, s, delta(VOID))
+        rhs = app(s, rec(VOID, s, VOID))
+        before, after = reference_value(interp, lhs), reference_value(interp, rhs)
+        if before <= after:
+            return s, before, after
+        s = merge(s, s)
+    raise RuntimeError("failed to construct a non-dropping rec_succ instance")
+
+
+def reference_weight_counterexample(weights):
+    """(s, weight(lhs), weight(rhs)) of the pumped rec_succ instance."""
+    s = VOID
+    if all(w == 0 for w in weights.values()):
+        lhs = rec(VOID, s, delta(VOID))
+        rhs = app(s, rec(VOID, s, VOID))
+        return s, symbol_weight(lhs, weights), symbol_weight(rhs, weights)
+    if weights["void"] == 0:
+        for kind in KINDS:
+            if kind != "void" and weights[kind] > 0:
+                s = Term(kind, (VOID,) * ARITY[kind])
+                break
+    for _ in range(64):
+        lhs = rec(VOID, s, delta(VOID))
+        rhs = app(s, rec(VOID, s, VOID))
+        wl, wr = symbol_weight(lhs, weights), symbol_weight(rhs, weights)
+        if wr >= wl:
+            return s, wl, wr
+        s = merge(s, s)
+    raise RuntimeError("failed to construct a non-dropping weighted instance")
+
+
 class TestCatalog:
     def test_exactly_twelve(self):
         assert [f.name for f in catalog()] == FAMILY_NAMES
@@ -118,6 +190,11 @@ class TestCatalog:
         valuation = catalog_family("linear-poly").valuation
         for t in enumerate_terms(6):
             assert valuation(t) == _poly_value(t)
+
+    def test_kbo_weight_matches_reference(self):
+        valuation = catalog_family("kbo-weight").valuation
+        for t in enumerate_terms(6):
+            assert valuation(t) == symbol_weight(t, _KBO_WEIGHTS)
 
     def test_orders_irreflexive_on_sampled_values(self):
         for family in catalog():
@@ -271,10 +348,9 @@ class TestPolySearch:
         assert report.step_combos_checked == 27
 
     def test_dropping_instance_counts_as_orienting(self, monkeypatch):
-        lhs = rec(VOID, VOID, delta(VOID))
-        monkeypatch.setattr(
-            nogo, "_grow_step_operand", lambda interp: (VOID, lhs, VOID)
-        )
+        # a pumping routine that hands back a strictly dropping instance
+        # must turn the report into a failure
+        monkeypatch.setattr(nogo, "_pump_step_operand", lambda interp: (VOID, 2, 1))
         report = poly_search(2, sample_count=8)
         assert report.orienting_assignments >= 1
         assert report.ok is False
@@ -286,14 +362,6 @@ class TestPolySearch:
         assert report.space_size == expected
 
     def test_constructed_witnesses_verified_independently(self):
-        from ko7.nogo import LinearInterpretation, _grow_step_operand
-
-        def value(interp, t):
-            i = KINDS.index(t.kind)
-            return interp.consts[i] + sum(
-                c * value(interp, ch) for c, ch in zip(interp.coefs[i], t.children)
-            )
-
         candidates = [
             LinearInterpretation(((), (1,), (1,), (1, 1), (1, 1), (1, 1, 1), (1, 1)),
                                  (0, 0, 0, 0, 0, 0, 0)),
@@ -302,8 +370,11 @@ class TestPolySearch:
             SCAN_RESISTANT_INTERPRETATION,
         ]
         for interp in candidates:
-            _, lhs, rhs = _grow_step_operand(interp)
-            assert value(interp, rhs) >= value(interp, lhs)
+            s, before, after = nogo._pump_step_operand(interp)
+            (w,) = root_steps_full(rec(VOID, s, delta(VOID)))
+            assert reference_value(interp, w.source) == before
+            assert reference_value(interp, w.result) == after
+            assert after >= before
 
         report = poly_search(2, sample_count=8)
         c = report.example
@@ -331,12 +402,9 @@ class TestKboSearch:
         assert report.orienting_assignments == 0
 
     def test_dropping_instance_counts_as_orienting(self, monkeypatch):
-        # the verdict is counted, not asserted: a builder that hands back a
-        # strictly dropping instance must turn the report into a failure
-        lhs, rhs = rec(VOID, VOID, delta(VOID)), VOID
-        monkeypatch.setattr(
-            nogo, "_weight_counterexample", lambda weights: (lhs, rhs, 2, 1)
-        )
+        # the verdict is counted, not asserted: a pumping routine that hands
+        # back a strictly dropping instance must turn the report into a failure
+        monkeypatch.setattr(nogo, "_pump_step_operand", lambda interp: (VOID, 2, 1))
         report = kbo_search(1)
         assert report.orienting_assignments == report.assignments_checked == 2**7
         assert report.ok is False
@@ -349,12 +417,58 @@ class TestKboSearch:
             itertools.product(range(3), repeat=len(KINDS)), 0, 64, 7
         ):
             weights = dict(zip(KINDS, vector))
-            from ko7.nogo import _weight_counterexample
-
-            lhs, rhs, wl, wr = _weight_counterexample(weights)
-            assert symbol_weight(lhs, weights) == wl
-            assert symbol_weight(rhs, weights) == wr
+            s, wl, wr = nogo._pump_step_operand(
+                LinearInterpretation(nogo._UNIT_COEFS, vector)
+            )
+            assert symbol_weight(rec(VOID, s, delta(VOID)), weights) == wl
+            assert symbol_weight(app(s, rec(VOID, s, VOID)), weights) == wr
             assert wr >= wl
+
+
+class TestClosedFormPumping:
+    """The closed-form pumping routine against the built-term references."""
+
+    def test_every_weight_vector_up_to_2(self):
+        for vector in itertools.product(range(3), repeat=len(KINDS)):
+            got = nogo._pump_step_operand(LinearInterpretation(nogo._UNIT_COEFS, vector))
+            assert got == reference_weight_counterexample(dict(zip(KINDS, vector))), vector
+
+    @pytest.mark.parametrize("bound, count", [(3, 64), (5, 200)])
+    def test_sampled_interpretations(self, bound, count):
+        for interp in nogo._sample_interpretations(bound, count):
+            assert nogo._pump_step_operand(interp) == reference_grow_step_operand(interp)
+
+    def test_scan_resistant_interpretation(self):
+        interp = SCAN_RESISTANT_INTERPRETATION
+        s, before, after = nogo._pump_step_operand(interp)
+        assert (s, before, after) == reference_grow_step_operand(interp)
+        # the seed (delta void) alone strictly drops, so it was pumped once
+        assert s == merge(delta(VOID), delta(VOID))
+
+    def test_pumped_grid(self):
+        # heavy rec arguments and light app force several pumps, under
+        # merge coefficients other than (1, 1)
+        pumps = Counter()
+        for m1, m2, r3, c_delta, c_void, c_merge in itertools.product(
+            (1, 2, 3), (1, 3), (1, 4), (0, 3, 9), (0, 1), (0, 2)
+        ):
+            interp = LinearInterpretation(
+                ((), (1,), (1,), (m1, m2), (1, 1), (1, 1, r3), (1, 1)),
+                (c_void, c_delta, 1, c_merge, 0, 1, 1),
+            )
+            s, before, after = nogo._pump_step_operand(interp)
+            assert (s, before, after) == reference_grow_step_operand(interp)
+            pumps[tree_depth(s)] += 1
+        assert len(pumps) >= 3
+
+    def test_cap_is_kept(self):
+        # one pump is needed above, so a cap of one pump runs out
+        try:
+            nogo._pump_step_operand(SCAN_RESISTANT_INTERPRETATION, cap=1)
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("expected RuntimeError")
 
 
 class TestJsonForms:
@@ -373,3 +487,30 @@ class TestJsonForms:
         payload = duplication_stress(5).to_json()
         assert payload["fittedOffset"] == 0
         assert payload["strictDrops"] == 0
+
+
+# The search reports have no CLI command and no golden of their own, so their
+# JSON forms are pinned here as the SHA-256 of json.dumps(..., sort_keys=True).
+SEARCH_DIGESTS = {
+    "kbo_search(1)": (lambda: kbo_search(1),
+                      "61d66491e4b5d0695a2c688506c756cf1d6b7ff509b268f99dff854dd282f1b4"),
+    "kbo_search(2)": (lambda: kbo_search(2),
+                      "e41a6f425a017f5e3bb355a43fbb2a66fb768c66adaf5fb0e54faf09853ea151"),
+    "kbo_search(3)": (lambda: kbo_search(3),
+                      "543e3508bcf8bd1fd35a3f5f624fefd9e8c44a9c857a6d8e079e8921ab4490f7"),
+    "kbo_search(4)": (lambda: kbo_search(4),
+                      "f7aedbe53403c57edf131fe46875c05ee62c54e224428dc1cb194a4ff873e0d2"),
+    "poly_search(3)": (lambda: poly_search(3),
+                       "cf150b307d170029ca38443e341e6101913de96cc3ed7f02712dcaae323a0110"),
+    "poly_search(2, 8)": (lambda: poly_search(2, sample_count=8),
+                          "0cd5c9b7bd4b5a8febcffab7457692c98d30d6dd42147b1e1d5bf98cae8f788a"),
+    "poly_search(3, 4)": (lambda: poly_search(3, sample_count=4),
+                          "420dd73ce4c84b81d8e2d2ce3f0a8382933ff14ae4ee5f26efd7322db31ec5ef"),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_DIGESTS))
+def test_search_report_digest(name):
+    search, digest = SEARCH_DIGESTS[name]
+    payload = json.dumps(search().to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
