@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import confluence, measure, nogo, normalize, rewrite, terms
 from .workers import resolve_workers
@@ -31,9 +32,11 @@ class InputError(ValueError):
     """An input file that cannot be read as text."""
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: Callable[[], dict], text: str) -> None:
+    """Print `text`, or under --json the JSON of `payload()`.  The payload is
+    built only under --json: a full run's holds every step's two terms."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
         print(text)
 
@@ -41,7 +44,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _emit_report(args, report, lines: list[str]) -> int:
     """Print a check report as JSON, or as `lines` and its PASS/FAIL verdict,
     and return its exit status."""
-    _emit(args, report.to_json(), "\n".join([*lines, "PASS" if report.ok else "FAIL"]))
+    _emit(args, report.to_json, "\n".join([*lines, "PASS" if report.ok else "FAIL"]))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -63,7 +66,7 @@ def _witness_line(w: rewrite.StepWitness) -> str:
 
 def _cmd_parse(args) -> int:
     for t in _read_terms(args):
-        _emit(args, {"term": terms.term_to_json(t)}, terms.render(t))
+        _emit(args, lambda: {"term": terms.term_to_json(t)}, terms.render(t))
     return EXIT_OK
 
 
@@ -72,7 +75,7 @@ def _cmd_step(args) -> int:
     for t in _read_terms(args):
         witnesses = rewrite.steps(t, relation)
         lines = [_witness_line(w) for w in witnesses] or ["(no steps)"]
-        _emit(args, {"steps": [w.to_json() for w in witnesses]}, "\n".join(lines))
+        _emit(args, lambda: {"steps": [w.to_json() for w in witnesses]}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -87,7 +90,7 @@ def _cmd_normalize(args) -> int:
                 for s in trace.steps
             ] if args.trace else []
             lines.append(terms.render(trace.final_term))
-            _emit(args, trace.to_json(), "\n".join(lines))
+            _emit(args, trace.to_json, "\n".join(lines))
         else:
             run = normalize.normalize_full(t, args.fuel)
             lines = [_witness_line(w) for w in run.steps] if args.trace else []
@@ -98,7 +101,7 @@ def _cmd_normalize(args) -> int:
                     f"fuel exhausted after {run.steps_taken} steps at: {terms.render(run.term)}"
                 )
                 status = EXIT_VIOLATION
-            _emit(args, run.to_json(), "\n".join(lines))
+            _emit(args, run.to_json, "\n".join(lines))
     return status
 
 
@@ -106,7 +109,8 @@ def _cmd_measure(args) -> int:
     for t in _read_terms(args):
         m = measure.measure3(t)
         ms = "{" + ", ".join(str(v) for v in sorted(m.kappa.elements())) + "}"
-        _emit(args, {"measure": m.to_json()}, f"dflag: {m.dflag}\nkappaM: {ms}\ntau: {m.tau}")
+        text = f"dflag: {m.dflag}\nkappaM: {ms}\ntau: {m.tau}"
+        _emit(args, lambda: {"measure": m.to_json()}, text)
     return EXIT_OK
 
 
@@ -118,7 +122,7 @@ def _cmd_reaches(args) -> int:
     except normalize.TargetNotNormalError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, {"reaches": verdict}, "true" if verdict else "false")
+    _emit(args, lambda: {"reaches": verdict}, "true" if verdict else "false")
     return EXIT_OK
 
 
@@ -136,7 +140,7 @@ def _cmd_witness_nonjoin(args) -> int:
         f"normal form B: {terms.render(witness.normal_diff)}",
         f"verdict: not joinable (budget {args.budget})",
     ]
-    _emit(args, witness.to_json(), "\n".join(lines))
+    _emit(args, witness.to_json, "\n".join(lines))
     return EXIT_OK if witness.ok else EXIT_VIOLATION
 
 
@@ -209,7 +213,7 @@ def _check_one_family(args, family: nogo.MeasureFamily) -> int:
         ]
     else:
         lines = [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
-    _emit(args, hunt.to_json(), "\n".join([f"family: {family.name}", *lines]))
+    _emit(args, hunt.to_json, "\n".join([f"family: {family.name}", *lines]))
     return EXIT_OK if hunt.found else EXIT_VIOLATION
 
 
@@ -239,8 +243,11 @@ def _cmd_check_nogo(args) -> int:
         f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances"
     )
     lines.append("PASS" if ok else "FAIL")
-    payload = {"families": [h.to_json() for h in hunts], "canonical": canonical.to_json()}
-    _emit(args, payload, "\n".join(lines))
+    _emit(
+        args,
+        lambda: {"families": [h.to_json() for h in hunts], "canonical": canonical.to_json()},
+        "\n".join(lines),
+    )
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

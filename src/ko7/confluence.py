@@ -123,7 +123,8 @@ class SweepReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        # with no fork every fork joins vacuously
+        return self.forks_checked >= 1 and not self.violations
 
     def merge(self, other: "SweepReport") -> None:
         self.forks_checked += other.forks_checked

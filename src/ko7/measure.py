@@ -93,7 +93,8 @@ class DecreaseReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        # with no instance every step decreases vacuously
+        return self.checked >= 1 and not self.violations
 
     def merge(self, other: "DecreaseReport") -> None:
         self.checked += other.checked

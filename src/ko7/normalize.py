@@ -10,9 +10,10 @@ termination claim, so normalize_full takes a fuel budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .measure import Measure3, lex3_less, measure3
-from .rewrite import StepWitness, _first_step_full, root_steps_safe
+from .rewrite import StepWitness, _full_steps, root_steps_safe
 from .terms import Term, term_to_json
 
 DEFAULT_FUEL = 10_000
@@ -110,16 +111,14 @@ def normalize_full(t: Term, fuel: int = DEFAULT_FUEL) -> FullRunResult:
     """Apply the first full-context step up to `fuel` times.  The first
     step is the first redex in (pre-order position, rule) order: the
     witness ctx_steps_full would list first, found without building the
-    others."""
-    steps: list[StepWitness] = []
-    current = t
-    for _ in range(fuel):
-        w = _first_step_full(current)
-        if w is None:
-            return FullRunResult(True, current, tuple(steps))
-        steps.append(w)
-        current = w.result
-    return FullRunResult(_first_step_full(current) is None, current, tuple(steps))
+    others.  The redex walk resumes after each step where it stopped,
+    re-checking only the rebuilt ancestors, so no node is walked twice
+    except along the rewritten spine.  Each step's result is still a whole
+    term rebuilt from the root, so a run costs O(steps x depth) node
+    constructions (a delta-chain of length n, O(n^2)), not linear time."""
+    walk = _full_steps(t)
+    steps = tuple(islice(walk, fuel))
+    return FullRunResult(next(walk, None) is None, steps[-1].result if steps else t, steps)
 
 
 def reaches_target(t: Term, target: Term) -> bool:

@@ -171,12 +171,55 @@ def ctx_steps_full(t: Term) -> list[StepWitness]:
     return list(_ctx_steps(t, safe=False))
 
 
-def _first_step_full(t: Term) -> StepWitness | None:
-    """ctx_steps_full(t)[0], or None when t has no full step, without
-    building the other witnesses: the walk stops at the first node with a
-    root rewrite, so it is linear in the nodes visited before the redex
-    plus the redex's depth."""
-    return next(_ctx_steps(t, safe=False), None)
+def _full_steps(t: Term) -> Iterator[StepWitness]:
+    """The successive first full-context steps from t: each witness is
+    ctx_steps_full(previous result)[0], and the walk resumes where it
+    stopped instead of restarting at the root.
+
+    A rewrite at position p rebuilds only p's ancestors; every other node
+    before p in pre-order lies in a left-sibling subtree that is the same
+    object, already walked and free of redexes.  So the next first redex is
+    the topmost rebuilt ancestor with a root rewrite or, failing that, the
+    first one found walking on from the new subterm at p and then through
+    the pending right siblings, which keep their positions.  When an
+    ancestor at depth a fires, the pending entries deeper than a are inside
+    it; the walk is pre-order, so they are the top of the stack."""
+    path: list[int] = []  # position of the node being visited
+    stack = [(0, 0, t)]  # (depth, index in parent, node), next on top
+    while True:
+        while stack:
+            depth, index, node = stack.pop()
+            if depth:
+                del path[depth - 1 :]
+                path.append(index)
+            if node.kind in _REDEX_KINDS:
+                rewrites = _root_rewrites(node, False)
+                if rewrites:
+                    break
+            kids = node.children
+            if kids:
+                depth += 1
+                stack.extend(zip(repeat(depth), _REVERSED_INDICES[len(kids)], reversed(kids)))
+        else:
+            return
+        while rewrites:
+            rule, rhs = rewrites[0]
+            position = tuple(path)
+            result = replace_at(t, position, rhs)
+            yield StepWitness(rule, position, t, result)
+            t = node = result
+            rewrites = None
+            for depth, index in enumerate(path):  # the rebuilt ancestors, top-down
+                if node.kind in _REDEX_KINDS:
+                    rewrites = _root_rewrites(node, False)
+                    if rewrites:
+                        del path[depth:]
+                        while stack and stack[-1][0] > depth:
+                            stack.pop()
+                        break
+                node = node.children[index]
+        # node is the new subterm at path: walk on from it
+        stack.append((len(path), path[-1] if path else 0, node))
 
 
 _STEP_FUNCTIONS = {

@@ -289,6 +289,44 @@ class TestChecks:
         assert "instances checked: 6\n" in out
         assert out.endswith("\nPASS\n")
 
+    @pytest.mark.parametrize("max_size", ["1", "2"])
+    def test_decrease_without_instances_fails(self, run, max_size):
+        # with no guarded root instance every step decreases vacuously
+        status, out, _ = run("check", "decrease", "--max-size", max_size)
+        assert status == 1
+        assert out.startswith("checked: 0 guarded root instances")
+        assert out.endswith("\nFAIL\n")
+        status, out, _ = run("--json", "check", "decrease", "--max-size", max_size)
+        assert status == 1
+        assert json.loads(out)["checked"] == 0
+
+    def test_decrease_smallest_passing_size(self, run):
+        status, out, _ = run("check", "decrease", "--max-size", "3")
+        assert status == 0
+        assert out.startswith("checked: 5 guarded root instances (size <= 3)\n")
+        assert out.endswith("\nPASS\n")
+
+    @pytest.mark.parametrize("relation", ["safe", "safe-ctx"])
+    @pytest.mark.parametrize("max_size", ["1", "2"])
+    def test_local_join_without_forks_fails(self, run, relation, max_size):
+        # with no fork every fork joins vacuously
+        argv = ("check", "local-join", "--relation", relation, "--max-size", max_size)
+        status, out, _ = run(*argv)
+        assert status == 1
+        assert f"forks checked: 0 (size <= {max_size})\n" in out
+        assert out.endswith("\nFAIL\n")
+        status, out, _ = run("--json", *argv)
+        assert status == 1
+        assert json.loads(out)["forksChecked"] == 0
+
+    @pytest.mark.parametrize("relation", ["safe", "safe-ctx"])
+    def test_local_join_smallest_passing_size(self, run, relation):
+        argv = ("check", "local-join", "--relation", relation, "--max-size", "3")
+        status, out, _ = run(*argv)
+        assert status == 0
+        assert "forks checked: 3 (size <= 3)\n" in out
+        assert out.endswith("\nPASS\n")
+
 
 # Every check report, the nonjoin witness and the normalize forms (a safe
 # trace, a full trace, and exhausted fuel), pinned byte for byte: argv ->

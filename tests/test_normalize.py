@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ko7.rewrite
 from ko7.measure import lex3_less, tau
 from ko7.normalize import (
     FullRunResult,
@@ -11,6 +13,7 @@ from ko7.normalize import (
 )
 from ko7.rewrite import RuleId, ctx_steps_full, root_steps_safe
 from ko7.terms import (
+    ARITY,
     VOID,
     app,
     delta,
@@ -36,12 +39,31 @@ def reference_normalize_full(t, fuel):
     return FullRunResult(not ctx_steps_full(current), current, tuple(steps))
 
 
-def delta_chain(n):
-    """rec void void (delta^n void)."""
+def delta_chain(n, step=VOID):
+    """rec void step (delta^n void)."""
     arg = VOID
     for _ in range(n):
         arg = delta(arg)
-    return rec(VOID, VOID, arg)
+    return rec(VOID, step, arg)
+
+
+@st.composite
+def sized_terms(draw, max_size=40):
+    """A term with a drawn number of nodes, from 1 to max_size."""
+    constructors = {
+        "delta": delta, "integrate": integrate, "merge": merge, "app": app, "rec": rec, "eqw": eqw
+    }
+
+    def build(n):
+        if n == 1:
+            return VOID
+        kind = draw(st.sampled_from([k for k in constructors if ARITY[k] <= n - 1]))
+        arity = ARITY[kind]
+        cuts = st.lists(st.integers(1, n - 2), min_size=arity - 1, max_size=arity - 1, unique=True)
+        bounds = [0, *sorted(draw(cuts) if arity > 1 else ()), n - 1]
+        return constructors[kind](*(build(hi - lo) for lo, hi in zip(bounds, bounds[1:])))
+
+    return build(draw(st.integers(1, max_size)))
 
 
 class TestNormalFormPredicate:
@@ -129,6 +151,60 @@ class TestNormalizeFull:
             assert normalize_full(t).to_json() == reference_normalize_full(
                 t, 10_000
             ).to_json()
+
+    # a rewrite below them turns these roots into redexes: the walk must
+    # re-check the rebuilt ancestors before walking on.  Wrapped in a merge,
+    # the ancestor that fires has a pending right sibling, which must stay.
+    @pytest.mark.parametrize(
+        "t",
+        [
+            rec(VOID, VOID, rec(delta(VOID), VOID, VOID)),
+            merge(merge(VOID, VOID), integrate(delta(VOID))),
+        ],
+    )
+    @pytest.mark.parametrize("wrap", ["bare", "merge"])
+    def test_matches_reference_when_an_ancestor_becomes_a_redex(self, t, wrap):
+        if wrap == "merge":
+            t = merge(t, integrate(delta(VOID)))
+        run = normalize_full(t)
+        assert run == reference_normalize_full(t, 10_000)
+        assert any(len(w.position) < len(v.position) for v, w in zip(run.steps, run.steps[1:]))
+
+    # the lengths the benchmark batch draws from; in the merge the pending
+    # right sibling is reached only after the whole chain has normalized
+    @pytest.mark.parametrize("n", [50, 150, 300])
+    @pytest.mark.parametrize("wrap", ["bare", "merge"])
+    def test_matches_reference_on_long_delta_chains(self, n, wrap):
+        t = delta_chain(n)
+        if wrap == "merge":
+            t = merge(t, integrate(delta(VOID)))
+        run = normalize_full(t)
+        assert run.normalized
+        assert run == reference_normalize_full(t, 10_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized_terms())
+    def test_matches_reference_on_random_terms(self, t):
+        assert normalize_full(t, fuel=30) == reference_normalize_full(t, 30)
+
+    def test_walk_resumes_instead_of_restarting(self, monkeypatch):
+        # rec void (integrate void) delta^n void: each rec_succ step's redex
+        # sits one level deeper, under one more app whose left child has a
+        # root rule to try.  Restarting at the root costs about n^2/2 tries.
+        n = 200
+        calls = 0
+        root_rewrites = ko7.rewrite._root_rewrites
+
+        def counted(t, safe):
+            nonlocal calls
+            calls += 1
+            return root_rewrites(t, safe)
+
+        monkeypatch.setattr(ko7.rewrite, "_root_rewrites", counted)
+        run = normalize_full(delta_chain(n, integrate(VOID)))
+        assert run.normalized
+        assert run.steps_taken == n + 1
+        assert calls <= 2 * n + 2
 
     @pytest.mark.parametrize("fuel", [0, 1])
     def test_matches_reference_when_fuel_runs_out(self, fuel):
