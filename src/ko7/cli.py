@@ -108,7 +108,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_measure(args) -> int:
     for t in _read_terms(args):
         m = measure.measure3(t)
-        ms = "{" + ", ".join(str(v) for v in sorted(m.kappa.elements())) + "}"
+        ms = "{" + ", ".join(str(v) for v in reversed(m.kappa_desc)) + "}"
         text = f"dflag: {m.dflag}\nkappaM: {ms}\ntau: {m.tau}"
         _emit(args, lambda: {"measure": m.to_json()}, text)
     return EXIT_OK

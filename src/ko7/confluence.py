@@ -154,7 +154,7 @@ def _local_join_chunk(
     max_size: int, lo: int, hi: int, relation: RelationKind, budget: int
 ) -> SweepReport:
     report = SweepReport(relation.value, max_size)
-    for t in enumerate_terms(max_size)[lo:hi]:
+    for t in enumerate_terms(max_size, lo, hi):
         for fork in forks(t, relation):
             report.forks_checked += 1
             result = joinable(fork.left.result, fork.right.result, relation, budget)
@@ -189,7 +189,7 @@ class UniqueNFReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.terms_checked >= 1 and not self.violations
 
     def merge(self, other: "UniqueNFReport") -> None:
         self.terms_checked += other.terms_checked
@@ -224,7 +224,7 @@ def guarded_root_normal_forms(t: Term) -> set[Term]:
 
 def _unique_nf_chunk(max_size: int, lo: int, hi: int) -> UniqueNFReport:
     report = UniqueNFReport(max_size)
-    for t in enumerate_terms(max_size)[lo:hi]:
+    for t in enumerate_terms(max_size, lo, hi):
         report.terms_checked += 1
         terminals = guarded_root_normal_forms(t)
         if len(terminals) != 1 or normalize_safe(t).final_term not in terminals:
@@ -318,7 +318,7 @@ class CoverageReport:
 
 def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
     report = CoverageReport(max_size)
-    pool = enumerate_terms(max_size)[lo:hi]
+    pool = enumerate_terms(max_size, lo, hi)
     for t in pool:
         rows = _shape_targets(t)
         if not rows:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from .rewrite import StepWitness, delta_flag, root_steps_safe
 from .terms import Term, enumerate_terms
@@ -37,49 +38,65 @@ def kappa_m(t: Term) -> NatMultiset:
     return Counter(t.rec_taus)
 
 
+def _descending(m: NatMultiset) -> tuple[int, ...]:
+    return tuple(sorted(m.elements(), reverse=True))
+
+
 def dm_less(x: NatMultiset, y: NatMultiset) -> bool:
     """Strict Dershowitz-Manna order: x is obtained from y by removing a
     nonempty multiset Z and adding elements each strictly below some
-    element of Z."""
-    removed = y - x  # counter subtraction keeps positive multiplicities only
-    if not removed:
-        return False
-    added = x - y
-    return all(any(a < r for r in removed) for a in added)
+    element of Z.  On naturals, whose order is total, this is the
+    lexicographic order of the elements sorted descending, a proper
+    prefix being the smaller (Dershowitz & Manna 1979)."""
+    return _descending(x) < _descending(y)
 
 
-@dataclass(frozen=True)
-class Measure3:
+class _Triple(NamedTuple):
     dflag: int
-    kappa: NatMultiset
+    kappa_desc: tuple[int, ...]  # the elements of kappa_m, sorted descending
     tau: int
 
+
+class Measure3(_Triple):
+    """(dflag, kappa_m, tau) as a tuple, kappa_m held as its elements
+    sorted descending.  Tuple `<` on two measures is then exactly the
+    triple-lexicographic order of `lex3_less` (see `dm_less`).
+
+    The multiset may be given as a Counter or as any iterable of its
+    elements."""
+
+    __slots__ = ()
+
+    def __new__(cls, dflag: int, kappa: NatMultiset | Iterable[int], tau: int):
+        elements = kappa.elements() if isinstance(kappa, Counter) else kappa
+        return super().__new__(cls, dflag, tuple(sorted(elements, reverse=True)), tau)
+
+    @property
+    def kappa(self) -> NatMultiset:
+        return Counter(self.kappa_desc)
+
     def to_json(self) -> list:
-        return [self.dflag, sorted(self.kappa.elements()), self.tau]
+        return [self.dflag, list(reversed(self.kappa_desc)), self.tau]
 
     def __str__(self):
-        ms = "{" + ", ".join(str(v) for v in sorted(self.kappa.elements())) + "}"
+        ms = "{" + ", ".join(str(v) for v in reversed(self.kappa_desc)) + "}"
         return f"({self.dflag}, {ms}, {self.tau})"
 
 
 def measure3(t: Term) -> Measure3:
-    return Measure3(delta_flag(t), kappa_m(t), tau(t))
+    return Measure3(delta_flag(t), t.rec_taus, t.tau)
 
 
 def lex3_less(a: Measure3, b: Measure3) -> bool:
-    if a.dflag != b.dflag:
-        return a.dflag < b.dflag
-    if a.kappa != b.kappa:
-        return dm_less(a.kappa, b.kappa)
-    return a.tau < b.tau
+    return a < b
 
 
 def deciding_component(after: Measure3, before: Measure3) -> str | None:
     """Which component makes after < before, or None if no strict drop."""
     if after.dflag != before.dflag:
         return "dflag" if after.dflag < before.dflag else None
-    if after.kappa != before.kappa:
-        return "kappaM" if dm_less(after.kappa, before.kappa) else None
+    if after.kappa_desc != before.kappa_desc:
+        return "kappaM" if after.kappa_desc < before.kappa_desc else None
     return "tau" if after.tau < before.tau else None
 
 
@@ -119,9 +136,12 @@ class DecreaseReport:
 
 def _decrease_chunk(max_size: int, lo: int, hi: int) -> DecreaseReport:
     report = DecreaseReport(max_size)
-    for t in enumerate_terms(max_size)[lo:hi]:
+    for t in enumerate_terms(max_size, lo, hi):
+        witnesses = root_steps_safe(t)
+        if not witnesses:
+            continue
         before = measure3(t)
-        for w in root_steps_safe(t):
+        for w in witnesses:
             report.checked += 1
             component = deciding_component(measure3(w.result), before)
             if component is None:

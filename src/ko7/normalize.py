@@ -93,12 +93,14 @@ def normalize_safe(t: Term) -> Trace:
     decrease on every step and records both measures."""
     steps: list[TraceStep] = []
     current = t
-    before = measure3(current)
+    before = None  # measured once a step exists: most terms take none
     while True:
         witnesses = root_steps_safe(current)
         if not witnesses:
             return Trace(t, tuple(steps), current)
         w = witnesses[0]
+        if before is None:
+            before = measure3(current)
         after = measure3(w.result)
         if not lex3_less(after, before):
             raise MeasureInvariantError(w, before, after)

@@ -13,6 +13,7 @@ immutable and pure.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Sequence
 
 # Constructor order is fixed: it determines enumeration order and is part of
@@ -53,6 +54,7 @@ class InvalidPositionError(TermError):
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class Term:
@@ -149,6 +151,16 @@ class Term:
         except AttributeError:
             self._fill()
             return self._rec_taus
+
+
+def _node(kind: str, children: tuple[Term, ...]) -> Term:
+    """A node whose kind and arity are known to be valid, built without
+    `Term.__init__`'s check: for the enumeration and `replace_at`, which
+    copy them from valid nodes."""
+    t = _new(Term)
+    _set(t, "kind", kind)
+    _set(t, "children", children)
+    return t
 
 
 VOID = Term("void")
@@ -283,8 +295,9 @@ def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
         ancestors.append((t, index))
         t = t.children[index]
     for parent, index in reversed(ancestors):
-        kids = parent.children
-        replacement = Term(parent.kind, kids[:index] + (replacement,) + kids[index + 1 :])
+        kids = list(parent.children)
+        kids[index] = replacement
+        replacement = _node(parent.kind, tuple(kids))
     return replacement
 
 
@@ -303,18 +316,69 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(c)
 
 
-def _child_tuples(total: int, arity: int) -> Iterator[tuple[Term, ...]]:
-    """Every tuple of `arity` terms whose sizes sum to `total`, ordered
-    lexicographically by the canonical order of the children."""
+@lru_cache(maxsize=None)
+def _count_of_size(n: int) -> int:
+    """Number of terms with exactly n nodes (0 below 1), by the recurrence
+    over constructors and child-size compositions; builds no term."""
+    if n < 1:
+        return 0
+    if n == 1:
+        return 1
+    return sum(_count_tuples(n - 1, ARITY[kind]) for kind in KINDS if ARITY[kind])
+
+
+@lru_cache(maxsize=None)
+def _count_tuples(total: int, arity: int) -> int:
+    """Number of tuples of `arity` terms whose sizes sum to `total`."""
     if arity == 1:
-        for c in terms_of_size(total):
+        return _count_of_size(total)
+    return sum(
+        _count_of_size(first) * _count_tuples(total - first, arity - 1)
+        for first in range(1, total - arity + 2)
+    )
+
+
+def _child_tuples(total: int, arity: int, skip: int) -> Iterator[tuple[Term, ...]]:
+    """The tuples of `arity` terms whose sizes sum to `total`, ordered
+    lexicographically by the canonical order of the children, from the
+    `skip`-th on.  The blocks before it (one per first-child size, then one
+    per first child) are skipped by their counts, not built; children come
+    from the cached buckets of size total - arity + 1 and below."""
+    if arity == 1:
+        for c in terms_of_size(total)[skip:]:
             yield (c,)
         return
     for first in range(1, total - arity + 2):
-        rest = list(_child_tuples(total - first, arity - 1))
-        for c in terms_of_size(first):
-            for tail in rest:
+        per_child = _count_tuples(total - first, arity - 1)
+        block = _count_of_size(first) * per_child
+        if skip >= block:
+            skip -= block
+            continue
+        index, skip = divmod(skip, per_child)
+        rest = list(_child_tuples(total - first, arity - 1, 0))
+        for c in terms_of_size(first)[index:]:
+            for tail in rest[skip:] if skip else rest:
                 yield (c,) + tail
+            skip = 0
+
+
+def _bucket(n: int, skip: int) -> Iterator[Term]:
+    """The terms of size n in canonical order from the `skip`-th on, each
+    constructor's block skipped by its count when it lies before it."""
+    if n == 1:
+        yield from (VOID,)[skip:]
+        return
+    for kind in KINDS:
+        arity = ARITY[kind]
+        if not arity:
+            continue
+        block = _count_tuples(n - 1, arity)
+        if skip >= block:
+            skip -= block
+            continue
+        for kids in _child_tuples(n - 1, arity, skip):
+            yield _node(kind, kids)
+        skip = 0
 
 
 @lru_cache(maxsize=None)
@@ -329,28 +393,38 @@ def terms_of_size(n: int) -> tuple[Term, ...]:
     bucket, then the next child the same way, and the last child takes the
     size that is left.  No sort is needed.
     """
-    if n == 1:
-        return (VOID,)
-    out: list[Term] = []
-    for kind in KINDS:
-        arity = ARITY[kind]
-        if arity and n > arity:
-            out.extend(Term(kind, kids) for kids in _child_tuples(n - 1, arity))
-    return tuple(out)
+    # a list grows faster than a tuple from a generator of unknown length
+    return tuple(list(_bucket(n, 0)))
 
 
-def enumerate_terms(max_size: int) -> list[Term]:
-    """Every term with size <= max_size, exactly once, in canonical order."""
+def enumerate_terms(max_size: int, lo: int = 0, hi: int | None = None) -> list[Term]:
+    """Every term with size <= max_size, exactly once, in canonical order;
+    with `lo` and `hi`, exactly enumerate_terms(max_size)[lo:hi].
+
+    Buckets below max_size, and the top bucket when the slice covers it
+    whole, come from the cache of `terms_of_size`.  A part of the top
+    bucket is generated from the slice's first term on, so a sweep chunk
+    never builds the whole top bucket."""
     if max_size < 1:
         raise TermError("max_size must be >= 1")
+    lo, hi, _ = slice(lo, hi).indices(count_terms(max_size))
     out: list[Term] = []
+    start = 0
     for n in range(1, max_size + 1):
-        out.extend(terms_of_size(n))
+        count = _count_of_size(n)
+        a, b = max(lo - start, 0), min(hi - start, count)
+        if a < b:
+            if n < max_size or b - a == count:
+                out.extend(terms_of_size(n)[a:b])
+            else:
+                out.extend(islice(_bucket(n, a), b - a))
+        start += count
     return out
 
 
 def count_terms(max_size: int) -> int:
-    return sum(len(terms_of_size(n)) for n in range(1, max_size + 1))
+    """Number of terms with size <= max_size (0 below 1); builds no term."""
+    return sum(_count_of_size(n) for n in range(1, max_size + 1))
 
 
 def term_to_json(t: Term) -> dict:

@@ -5,9 +5,12 @@ them on a pool of workers, and merges the partial reports in chunk order,
 so output is identical for any worker count.  With more than one worker
 there are CHUNKS_PER_WORKER chunks per worker: the cost per term grows with
 its size, so equal slices of the enumeration are far from equal work, and
-finer chunks let the pool balance the heavy tail.  The KO7_WORKERS
-environment variable caps how many workers sweep subcommands may use
-(default 1: serial).
+finer chunks let the pool balance the heavy tail.  Chunks are handed to
+the pool last first: the tail of the top size bucket (its rec and eqw
+terms) is the heaviest work, and started last it would leave one worker
+running alone at the end.  Each chunk enumerates only its own slice.
+The KO7_WORKERS environment variable caps how many workers sweep
+subcommands may use (default 1: serial).
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
     """Apply chunk_fn(max_size, lo, hi, *args) to contiguous [lo, hi) slices
     of enumerate_terms(max_size) and merge the partial reports in slice
     order.  One slice when serial, CHUNKS_PER_WORKER per worker otherwise,
-    run on a process pool.  The pool module is imported only here: it is a
-    sizable share of the package's import time, which every command pays
-    and few commands need."""
+    run on a process pool and submitted last slice first.  The pool module
+    is imported only here: it is a sizable share of the package's import
+    time, which every command pays and few commands need."""
     total = count_terms(max_size)
     chunks = workers * CHUNKS_PER_WORKER if workers > 1 else 1
     chunks = max(1, min(chunks, total))
@@ -55,7 +58,7 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_fn, *zip(*tasks)))
+            parts = list(pool.map(chunk_fn, *zip(*reversed(tasks))))[::-1]
     report = parts[0]
     for part in parts[1:]:
         report.merge(part)

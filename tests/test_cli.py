@@ -534,6 +534,16 @@ class TestUsage:
         assert out == ""
         assert "must be >= 0" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("max_size", ["0", "-1"])
+    @pytest.mark.parametrize("check", ["decrease", "unique-nf", "coverage", "local-join"])
+    def test_sweep_below_size_one_exits_2(self, run, monkeypatch, check, max_size, workers):
+        monkeypatch.setenv("KO7_WORKERS", workers)
+        status, out, err = run("check", check, "--max-size", max_size)
+        assert status == 2
+        assert out == ""
+        assert "error: max_size must be >= 1" in err
+
     def test_no_command_exits_2(self, run):
         status, _, _ = run()
         assert status == 2

@@ -1,6 +1,7 @@
 import pytest
 
 from ko7.confluence import (
+    UniqueNFReport,
     forks,
     guarded_root_normal_forms,
     joinable,
@@ -13,6 +14,7 @@ from ko7.normalize import normalize_safe
 from ko7.rewrite import RelationKind, RuleId
 from ko7.terms import (
     VOID,
+    count_terms,
     delta,
     enumerate_terms,
     eqw,
@@ -96,6 +98,15 @@ class TestSweeps:
         report = unique_nf_sweep(6)
         assert report.ok
         assert report.terms_checked == len(enumerate_terms(6))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unique_nf_checks_every_term(self, workers):
+        for n in range(1, 8):
+            assert unique_nf_sweep(n, workers).terms_checked == count_terms(n)
+
+    def test_unique_nf_fails_with_nothing_checked(self):
+        assert not UniqueNFReport(0).ok
+        assert UniqueNFReport(0, terms_checked=1).ok
 
     def test_newman_agreement(self):
         # strong normalization plus local joins force unique normal forms;

@@ -110,6 +110,58 @@ def dm_less_oracle(x: Counter, y: Counter) -> bool:
     return False
 
 
+def reference_dm_less(x: Counter, y: Counter) -> bool:
+    """Reference oracle: the Dershowitz-Manna order by Counter difference;
+    what is removed from y is nonempty and dominates what is added."""
+    removed = y - x
+    if not removed:
+        return False
+    return all(any(a < r for r in removed) for a in x - y)
+
+
+def reference_deciding_component(after, before) -> str | None:
+    """Reference oracle: the component deciding after < before, with the
+    multisets compared as Counters."""
+    if after.dflag != before.dflag:
+        return "dflag" if after.dflag < before.dflag else None
+    if after.kappa != before.kappa:
+        return "kappaM" if reference_dm_less(after.kappa, before.kappa) else None
+    return "tau" if after.tau < before.tau else None
+
+
+class TestTupleOrder:
+    """Multisets of naturals held as descending tuples: tuple `<` is the
+    Dershowitz-Manna order."""
+
+    @given(multisets, multisets)
+    def test_descending_tuples_agree_with_bruteforce(self, x, y):
+        want = dm_less_oracle(x, y)
+        assert (Measure3(0, x, 0) < Measure3(0, y, 0)) == want
+        assert dm_less(x, y) == reference_dm_less(x, y) == want
+
+    @given(st.integers(0, 1), multisets, st.integers(0, 9), st.integers(0, 1), multisets, st.integers(0, 9))
+    def test_lex3_on_constructed_measures(self, fx, x, tx, fy, y, ty):
+        a, b = Measure3(fx, x, tx), Measure3(fy, y, ty)
+        assert (a.kappa, b.kappa) == (x, y)
+        want = reference_deciding_component(a, b)
+        assert deciding_component(a, b) == want
+        assert lex3_less(a, b) == (want is not None)
+
+    def test_every_guarded_root_step_up_to_size_eight(self):
+        steps = 0
+        for t in enumerate_terms(8):
+            for w in root_steps_safe(t):
+                steps += 1
+                before, after = measure3(t), measure3(w.result)
+                want = dm_less_oracle(kappa_m(w.result), kappa_m(t))
+                assert (after.kappa_desc < before.kappa_desc) == want
+                assert deciding_component(after, before) == reference_deciding_component(
+                    after, before
+                )
+                assert lex3_less(after, before)
+        assert steps == decrease_sweep(8).checked
+
+
 class TestDeltaFlag:
     def test_detector(self):
         assert delta_flag(rec(VOID, VOID, delta(VOID))) == 1

@@ -299,6 +299,59 @@ class TestEnumerate:
         with pytest.raises(Exception):
             enumerate_terms(0)
 
+    def test_count_builds_no_bucket(self):
+        before = terms_of_size.cache_info()
+        for n in range(-1, 13):
+            assert count_terms(n) == sum(count_by_recurrence(m) for m in range(1, n + 1))
+        assert count_terms(12) == 8437898
+        assert terms_of_size.cache_info() == before
+
+
+def _reference_enumeration(max_size: int) -> list[Term]:
+    return [t for n in range(1, max_size + 1) for t in reference_terms_of_size(n)]
+
+
+def _bucket_bounds(max_size: int) -> list[int]:
+    """Both ends and every bucket boundary, each with its neighbours."""
+    marks = [count_terms(n) for n in range(max_size + 1)]
+    return sorted({m + d for m in marks for d in (-1, 0, 1)})
+
+
+def _block_starts(max_size: int) -> list[int]:
+    """Every start of a (constructor, first-child size, first child) block
+    of the top bucket: where the slice generator skips by counts."""
+    pool = _reference_enumeration(max_size)
+    starts = [count_terms(max_size - 1)]
+    for i in range(starts[0] + 1, len(pool)):
+        a, b = pool[i - 1], pool[i]
+        if (a.kind, a.children[0]) != (b.kind, b.children[0]):
+            starts.append(i)
+    return starts
+
+
+class TestEnumerationSlices:
+    @pytest.mark.parametrize("max_size", range(1, 9))
+    def test_slices_match_reference(self, max_size):
+        # compared with the whole enumeration once, and slices with it:
+        # its terms share children with theirs, so equality is shallow
+        pool = enumerate_terms(max_size)
+        assert pool == _reference_enumeration(max_size)
+        grid = _bucket_bounds(max_size)
+        for lo in grid:
+            for hi in grid:
+                assert enumerate_terms(max_size, lo, hi) == pool[lo:hi], (lo, hi)
+
+    @pytest.mark.parametrize("max_size", range(2, 9))
+    def test_every_block_start_in_the_top_bucket(self, max_size):
+        pool = _reference_enumeration(max_size)
+        for lo in _block_starts(max_size):
+            for hi in (lo, lo + 1, lo + 3):
+                assert enumerate_terms(max_size, lo - 1, hi) == pool[lo - 1 : hi], (lo, hi)
+
+    @given(st.integers(-20, 14200), st.integers(-20, 14200))
+    def test_random_slices(self, lo, hi):
+        assert enumerate_terms(8, lo, hi) == _reference_enumeration(8)[lo:hi]
+
 
 class TestPositions:
     def test_subterm_at(self):

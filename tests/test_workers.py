@@ -41,3 +41,32 @@ def test_run_sweep_merges_contiguous_slices_in_order():
     assert pooled[0][1] == 0 and pooled[-1][2] == total
     assert all(a[2] == b[1] for a, b in zip(pooled, pooled[1:]))
     assert {(s[0], s[3]) for s in pooled} == {(5, "t")}
+
+
+class _SerialPool:
+    """Runs `map` in order, in this process, recording the slices."""
+
+    submitted: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        tasks = list(zip(*iterables))
+        _SerialPool.submitted = [task[1:3] for task in tasks]
+        return [fn(*task) for task in tasks]
+
+
+def test_run_sweep_submits_last_slice_first(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    merged = [s[1:3] for s in run_sweep(_slice_chunk, 5, 2, "t").slices]
+    assert _SerialPool.submitted == merged[::-1]
+    assert merged[0][0] == 0 and merged[-1][1] == count_terms(5)
