@@ -132,13 +132,16 @@ def _cmd_witness_nonjoin(args) -> int:
     except confluence.FuelExhaustedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATION
+    verdict = (
+        "not joinable" if witness.ok else "joinable" if witness.join.joined else "inconclusive"
+    )
     lines = [
         f"source: {terms.render(witness.source)}",
         f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
         f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}",
         f"normal form A: {terms.render(witness.normal_refl)}",
         f"normal form B: {terms.render(witness.normal_diff)}",
-        f"verdict: not joinable (budget {args.budget})",
+        f"verdict: {verdict} (budget {args.budget})",
     ]
     _emit(args, witness.to_json, "\n".join(lines))
     return EXIT_OK if witness.ok else EXIT_VIOLATION
@@ -196,8 +199,8 @@ def _cmd_check_coverage(args) -> int:
 
 def _format_counterexample(report: nogo.CounterexampleReport) -> str:
     w = report.witness
-    before = nogo.render_value(report.value_kind, report.value_before)
-    after = nogo.render_value(report.value_kind, report.value_after)
+    before = nogo.render_value(report.value_before)
+    after = nogo.render_value(report.value_after)
     return (
         f"{w.rule.value} on {terms.render(w.source)}: "
         f"{before} -> {after} ({report.verdict})"

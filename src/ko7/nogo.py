@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .measure import lex3_less, measure3
+from .measure import Measure3, measure3
 from .rewrite import (
     RelationKind,
     RuleId,
@@ -64,14 +64,15 @@ def _proper_submultiset(x: Counter, y: Counter) -> bool:
     return not (x - y) and x != y
 
 
-def render_value(value_kind: str, value: Any):
-    """JSON-friendly form of a family value, by kind."""
-    if value_kind == "pair":
-        return list(value)
-    if value_kind == "multiset":
-        return sorted(value.elements())
-    if value_kind == "measure3":
+def render_value(value: Any):
+    """JSON-friendly form of a family value, by its type (a Measure3 is a
+    tuple too, so it is tested first)."""
+    if isinstance(value, Measure3):
         return value.to_json()
+    if isinstance(value, Counter):
+        return sorted(value.elements())
+    if isinstance(value, tuple):
+        return list(value)
     return value
 
 
@@ -82,8 +83,7 @@ class MeasureFamily:
     name: str
     description: str
     valuation: Callable[[Term], Any]
-    less: Callable[[Any, Any], bool]
-    value_kind: str  # nat | bit | pair | multiset | measure3
+    less: Callable[[Any, Any], bool] = operator.lt
     focus: tuple[RuleId, ...] = ()
 
 
@@ -132,16 +132,12 @@ def catalog() -> list[MeasureFamily]:
             "delta-nesting depth plus a fixed constant (any k; ties are "
             "constant-invariant)",
             kappa_depth,
-            operator.lt,
-            "nat",
             focus=(RuleId.REC_SUCC,),
         ),
         MeasureFamily(
             "lex-kappa-size",
             "lexicographic pair (delta-nesting depth, node count)",
             lambda t: (kappa_depth(t), size(t)),
-            operator.lt,
-            "pair",
             focus=(RuleId.REC_SUCC,),
         ),
         MeasureFamily(
@@ -149,31 +145,23 @@ def catalog() -> list[MeasureFamily]:
             "representative linear interpretation (see poly_search for the "
             "exhaustive sweep)",
             _POLY_INTERPRETATION.value,
-            operator.lt,
-            "nat",
             focus=(RuleId.REC_SUCC,),
         ),
         MeasureFamily(
             "delta-flag",
             "the single-bit root-shape detector on its own",
             delta_flag,
-            operator.lt,
-            "bit",
             focus=(RuleId.MERGE_VOID_LEFT, RuleId.MERGE_VOID_RIGHT),
         ),
         MeasureFamily(
             "size",
             "node count as a plain ordinal",
             size,
-            operator.lt,
-            "nat",
         ),
         MeasureFamily(
             "kappa-depth",
             "delta-nesting depth on its own",
             kappa_depth,
-            operator.lt,
-            "nat",
             focus=(RuleId.MERGE_CANCEL,),
         ),
         MeasureFamily(
@@ -182,22 +170,17 @@ def catalog() -> list[MeasureFamily]:
             "(no replace-by-smaller clause)",
             lambda t: Counter(size(u) for u in subterms(t)),
             _proper_submultiset,
-            "multiset",
             focus=(RuleId.REC_SUCC,),
         ),
         MeasureFamily(
             "hybrid-flag-size",
             "lexicographic pair (delta flag, node count)",
             lambda t: (delta_flag(t), size(t)),
-            operator.lt,
-            "pair",
         ),
         MeasureFamily(
             "raw-recursion",
             "node count probed on the unguarded duplicating rule itself",
             size,
-            operator.lt,
-            "nat",
             focus=(RuleId.REC_SUCC,),
         ),
         MeasureFamily(
@@ -205,8 +188,6 @@ def catalog() -> list[MeasureFamily]:
             "head-constructor rank under a fixed total precedence, with no "
             "subterm clause",
             lambda t: KIND_INDEX[t.kind],
-            operator.lt,
-            "nat",
             focus=(RuleId.MERGE_CANCEL,),
         ),
         MeasureFamily(
@@ -214,16 +195,12 @@ def catalog() -> list[MeasureFamily]:
             "representative linear symbol-weight sum (see kbo_search for "
             "the exhaustive sweep)",
             _KBO_INTERPRETATION.value,
-            operator.lt,
-            "nat",
             focus=(RuleId.REC_SUCC,),
         ),
         MeasureFamily(
             "tree-depth",
             "maximum tree depth (every constructor increments)",
             tree_depth,
-            operator.lt,
-            "nat",
             focus=(RuleId.REC_SUCC,),
         ),
     ]
@@ -243,8 +220,6 @@ def canonical_family() -> MeasureFamily:
         "canonical-triple",
         "the certified lexicographic stack (flag, rec multiset, weighted count)",
         measure3,
-        lex3_less,
-        "measure3",
     )
 
 
@@ -255,15 +230,14 @@ class CounterexampleReport:
     value_before: Any
     value_after: Any
     verdict: str  # "increase" | "no-strict-drop"
-    value_kind: str
 
     def to_json(self) -> dict:
         base = self.witness.to_json()
         base.update(
             {
                 "family": self.family,
-                "before": render_value(self.value_kind, self.value_before),
-                "after": render_value(self.value_kind, self.value_after),
+                "before": render_value(self.value_before),
+                "after": render_value(self.value_after),
                 "verdict": self.verdict,
             }
         )
@@ -302,7 +276,7 @@ def _no_drop_report(
     if family.less(after, before):
         return None
     verdict = "increase" if family.less(before, after) else "no-strict-drop"
-    return CounterexampleReport(family.name, w, before, after, verdict, family.value_kind)
+    return CounterexampleReport(family.name, w, before, after, verdict)
 
 
 def iter_witnesses(
@@ -358,17 +332,15 @@ class DepthTieReport:
 def duplication_depth_tie(
     max_size: int = 7, constants: tuple[int, ...] = (0, 1, 5)
 ) -> DepthTieReport:
-    """First rec_succ instance whose delta-nesting depth ties exactly; an
+    """First rec_succ instance whose delta-nesting depth ties exactly: the
+    additive-kappa hunt's witness, as rec_succ never raises the depth.  An
     equal pair stays equal under any constant shift, so the report lists
     the shifts it stands for without re-checking them."""
-    for w in iter_witnesses(RelationKind.FULL_ROOT, max_size):
-        if w.rule is not RuleId.REC_SUCC:
-            continue
-        before = kappa_depth(w.source)
-        after = kappa_depth(w.result)
-        if before == after:
-            return DepthTieReport(w, before, constants)
-    raise RuntimeError(f"no depth-tied rec_succ instance up to size {max_size}")
+    found = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
+    tie = found.counterexample
+    if tie is None or tie.witness.rule is not RuleId.REC_SUCC:
+        raise RuntimeError(f"no depth-tied rec_succ instance up to size {max_size}")
+    return DepthTieReport(tie.witness, tie.value_before, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +429,7 @@ def lpo_greater(a: Term, b: Term, prec: Precedence) -> bool:
 
 
 def _rule_instances(max_size: int) -> list[tuple[Term, Term]]:
-    return [
-        (w.source, w.result)
-        for t in enumerate_terms(max_size)
-        for w in root_steps_full(t)
-    ]
+    return [(w.source, w.result) for w in iter_witnesses(RelationKind.FULL_ROOT, max_size)]
 
 
 def orients_all(prec: Precedence, instances: list[tuple[Term, Term]]) -> bool:
@@ -664,7 +632,7 @@ def _json_or_none(report: Optional[CounterexampleReport]) -> Optional[dict]:
 
 
 def _linear_family(name: str, interp: LinearInterpretation) -> MeasureFamily:
-    return MeasureFamily(name, "linear interpretation", interp.value, operator.lt, "nat")
+    return MeasureFamily(name, "linear interpretation", interp.value)
 
 
 def _rec_succ_example(

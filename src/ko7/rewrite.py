@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator
 
 from .terms import Position, Term, VOID, app, integrate, merge, rec, replace_at, term_to_json
@@ -82,10 +81,6 @@ def delta_flag(t: Term) -> int:
     return int(t.kind == "rec" and t.children[2].kind == "delta")
 
 
-def _kappa_empty(t: Term) -> bool:
-    return not t.rec_taus
-
-
 def _root_rewrites(t: Term, safe: bool) -> list[tuple[RuleId, Term]]:
     out: list[tuple[RuleId, Term]] = []
     if t.kind == "merge":
@@ -94,7 +89,7 @@ def _root_rewrites(t: Term, safe: bool) -> list[tuple[RuleId, Term]]:
             out.append((RuleId.MERGE_VOID_LEFT, right))
         if right == VOID and (not safe or delta_flag(left) == 0):
             out.append((RuleId.MERGE_VOID_RIGHT, left))
-        if left == right and (not safe or _kappa_empty(left)):
+        if left == right and (not safe or not left.rec_taus):  # kappa_m(left) empty
             out.append((RuleId.MERGE_CANCEL, left))
     elif t.kind == "rec":
         base, step, arg = t.children
@@ -107,12 +102,10 @@ def _root_rewrites(t: Term, safe: bool) -> list[tuple[RuleId, Term]]:
             out.append((RuleId.INT_DELTA, VOID))
     elif t.kind == "eqw":
         left, right = t.children
-        if left == right:
-            if not safe or _kappa_empty(left):
-                out.append((RuleId.EQ_REFL, VOID))
-            if not safe:
-                out.append((RuleId.EQ_DIFF, integrate(merge(left, right))))
-        else:
+        same = left == right
+        if same and (not safe or not left.rec_taus):
+            out.append((RuleId.EQ_REFL, VOID))
+        if not (same and safe):
             out.append((RuleId.EQ_DIFF, integrate(merge(left, right))))
     return out
 
@@ -135,73 +128,67 @@ _REDEX_KINDS = frozenset({"merge", "rec", "integrate", "eqw"})
 _REVERSED_INDICES = {n: range(n - 1, -1, -1) for n in (1, 2, 3)}
 
 
-def _ctx_steps(t: Term, safe: bool) -> Iterator[StepWitness]:
-    """Every context step of t in (position, rule) order: a pre-order walk
-    with an explicit stack that yields each rewrite of each visited node,
-    rebuilt from the root by one replace_at.  The safe relation descends
-    only below _SAFE_CTX_KINDS; its root rules still apply at every node
-    it reaches."""
-    path: list[int] = []  # position of the node being visited
-    stack = [(0, 0, t)]  # (depth, index in parent, node), next on top
+def _redexes(stack: list, path: list[int], safe: bool) -> Iterator[list[tuple[RuleId, Term]]]:
+    """The pre-order redex walk: pops (depth, index in parent, node) off
+    `stack`, keeps `path` at the popped node's position, and yields the
+    root rewrites of each redex.  Children are pushed before the yield, so
+    the pending entries deeper than len(path) are then exactly the redex's
+    children.  The safe relation descends only below _SAFE_CTX_KINDS."""
     while stack:
         depth, index, node = stack.pop()
         if depth:
             del path[depth - 1 :]
             path.append(index)
         kind = node.kind
+        kids = node.children
+        if kids and (not safe or kind in _SAFE_CTX_KINDS):
+            for i in _REVERSED_INDICES[len(kids)]:
+                stack.append((depth + 1, i, kids[i]))
         if kind in _REDEX_KINDS:
             rewrites = _root_rewrites(node, safe)
             if rewrites:
-                position = tuple(path)
-                for rule, rhs in rewrites:
-                    yield StepWitness(rule, position, t, replace_at(t, position, rhs))
-        kids = node.children
-        if kids and (not safe or kind in _SAFE_CTX_KINDS):
-            depth += 1
-            stack.extend(zip(repeat(depth), _REVERSED_INDICES[len(kids)], reversed(kids)))
+                yield rewrites
+
+
+def _ctx_steps(t: Term, safe: bool) -> list[StepWitness]:
+    """Every context step of t in (position, rule) order, each rebuilt from
+    the root by one replace_at; the safe root rules apply at every node the
+    safe walk reaches."""
+    path: list[int] = []
+    out: list[StepWitness] = []
+    for rewrites in _redexes([(0, 0, t)], path, safe):
+        position = tuple(path)
+        for rule, rhs in rewrites:
+            out.append(StepWitness(rule, position, t, replace_at(t, position, rhs)))
+    return out
 
 
 def ctx_steps_safe(t: Term) -> list[StepWitness]:
     """Safe steps under the partial context closure (no delta, no eqw)."""
-    return list(_ctx_steps(t, safe=True))
+    return _ctx_steps(t, safe=True)
 
 
 def ctx_steps_full(t: Term) -> list[StepWitness]:
     """Full steps at every position, closed under all constructors."""
-    return list(_ctx_steps(t, safe=False))
+    return _ctx_steps(t, safe=False)
 
 
 def _full_steps(t: Term) -> Iterator[StepWitness]:
     """The successive first full-context steps from t: each witness is
-    ctx_steps_full(previous result)[0], and the walk resumes where it
-    stopped instead of restarting at the root.
+    ctx_steps_full(previous result)[0], and one _redexes walk resumes where
+    it stopped instead of restarting at the root.
 
     A rewrite at position p rebuilds only p's ancestors; every other node
     before p in pre-order lies in a left-sibling subtree that is the same
     object, already walked and free of redexes.  So the next first redex is
     the topmost rebuilt ancestor with a root rewrite or, failing that, the
     first one found walking on from the new subterm at p and then through
-    the pending right siblings, which keep their positions.  When an
-    ancestor at depth a fires, the pending entries deeper than a are inside
-    it; the walk is pre-order, so they are the top of the stack."""
+    the pending right siblings, which keep their positions.  The pending
+    entries deeper than the position that fired last lie inside its old
+    subterm; the walk is pre-order, so they are the top of the stack."""
     path: list[int] = []  # position of the node being visited
     stack = [(0, 0, t)]  # (depth, index in parent, node), next on top
-    while True:
-        while stack:
-            depth, index, node = stack.pop()
-            if depth:
-                del path[depth - 1 :]
-                path.append(index)
-            if node.kind in _REDEX_KINDS:
-                rewrites = _root_rewrites(node, False)
-                if rewrites:
-                    break
-            kids = node.children
-            if kids:
-                depth += 1
-                stack.extend(zip(repeat(depth), _REVERSED_INDICES[len(kids)], reversed(kids)))
-        else:
-            return
+    for rewrites in _redexes(stack, path, False):
         while rewrites:
             rule, rhs = rewrites[0]
             position = tuple(path)
@@ -214,12 +201,13 @@ def _full_steps(t: Term) -> Iterator[StepWitness]:
                     rewrites = _root_rewrites(node, False)
                     if rewrites:
                         del path[depth:]
-                        while stack and stack[-1][0] > depth:
-                            stack.pop()
                         break
                 node = node.children[index]
-        # node is the new subterm at path: walk on from it
-        stack.append((len(path), path[-1] if path else 0, node))
+        # drop the old subterm's pending entries, walk on from the new one
+        depth = len(path)
+        while stack and stack[-1][0] > depth:
+            stack.pop()
+        stack.append((depth, path[-1] if path else 0, node))
 
 
 _STEP_FUNCTIONS = {

@@ -303,17 +303,21 @@ def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
 
 def positions(t: Term) -> Iterator[Position]:
     """All positions of t in lexicographic (prefix) order, root first."""
-    yield ()
-    for i, c in enumerate(t.children):
-        for p in positions(c):
-            yield (i,) + p
+    stack = [((), t)]
+    while stack:
+        position, node = stack.pop()
+        yield position
+        kids = node.children
+        stack.extend((position + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
 
 
 def subterms(t: Term) -> Iterator[Term]:
     """All subterm occurrences, root first."""
-    yield t
-    for c in t.children:
-        yield from subterms(c)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 @lru_cache(maxsize=None)

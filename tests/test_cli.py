@@ -198,6 +198,28 @@ class TestWitnessNonjoin:
         assert result.stdout == ""
         assert result.stderr == "error: non-join reducts did not normalize within fuel 0\n"
 
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_unexhausted_search_is_inconclusive(self, budget):
+        # budget 0 expands nothing and budget 1 leaves the eq_diff side
+        # unexplored: no non-join verdict, exit 1, and no traceback
+        src = str(Path(ko7.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "ko7.cli", "witness", "nonjoin", "--budget", budget],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert "not joinable" not in result.stdout
+        assert result.stdout.endswith(f"verdict: inconclusive (budget {budget})\n")
+
+    def test_budget_2_exhausts_both_sides(self, run):
+        status, out, _ = run("witness", "nonjoin", "--budget", "2")
+        assert status == 0
+        assert out.endswith("verdict: not joinable (budget 2)\n")
+
     def test_one_unit_of_fuel_suffices(self, run):
         status, out, err = run("witness", "nonjoin", "--fuel", "1")
         assert status == 0

@@ -180,6 +180,14 @@ class TestNonJoinWitness:
         assert not w.join.joined
         assert w.ok
 
+    @pytest.mark.parametrize("budget, exhausted", [(0, False), (1, False), (2, True)])
+    def test_ok_needs_both_sides_exhausted(self, budget, exhausted):
+        w = non_join_witness(budget=budget)
+        assert not w.join.joined
+        assert w.join.exhausted is exhausted
+        assert w.ok is exhausted
+        assert "exhausted" not in w.join.to_json()
+
     def test_json_schema(self):
         payload = non_join_witness().to_json()
         assert set(payload) == {

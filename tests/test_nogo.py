@@ -22,9 +22,11 @@ from ko7.nogo import (
     lpo_greater,
     orients_all,
     poly_search,
+    render_value,
     search_precedence,
     tree_depth,
 )
+from ko7.measure import Measure3
 from ko7.rewrite import RelationKind, RuleId, root_steps_full
 from ko7.terms import (
     ARITY,
@@ -277,6 +279,30 @@ class TestDepthTie:
         assert kappa_depth(report.witness.source) == kappa_depth(report.witness.result)
         assert report.constants == (0, 1, 5)
 
+    @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+    def test_raises_below_the_first_tie(self, max_size):
+        # the additive-kappa hunt finds nothing, or falls back to a
+        # merge_void_left instance, before the first tie at size 6
+        hunt = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
+        assert not hunt.found or hunt.counterexample.witness.rule is RuleId.MERGE_VOID_LEFT
+        with pytest.raises(RuntimeError):
+            duplication_depth_tie(max_size)
+
+    @pytest.mark.parametrize("max_size", [6, 7, 8])
+    def test_is_the_additive_kappa_hunt_witness(self, max_size):
+        hunt = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
+        report = duplication_depth_tie(max_size)
+        assert report.witness == hunt.counterexample.witness
+        assert report.depth == hunt.counterexample.value_before
+        # reference: the first rec_succ instance whose depth ties, by a plain scan
+        first_tie = next(
+            w
+            for w in iter_witnesses(RelationKind.FULL_ROOT, max_size)
+            if w.rule is RuleId.REC_SUCC and kappa_depth(w.source) == kappa_depth(w.result)
+        )
+        assert report.witness == first_tie
+        assert report.depth == kappa_depth(first_tie.source)
+
 
 class TestDuplicationStress:
     def test_fitted_identity(self):
@@ -469,6 +495,34 @@ class TestClosedFormPumping:
             pass
         else:
             raise AssertionError("expected RuntimeError")
+
+
+class TestRenderValue:
+    # one value of each type a family yields; no golden renders a Measure3,
+    # because the canonical family never fails on the guarded relation
+    @pytest.mark.parametrize(
+        "value, rendered",
+        [
+            (3, 3),
+            (1, 1),
+            ((2, 5), [2, 5]),
+            (Counter({3: 2, 1: 1}), [1, 3, 3]),
+            (Measure3(1, Counter({5: 1, 2: 1}), 4), [1, [2, 5], 4]),
+        ],
+    )
+    def test_by_type(self, value, rendered):
+        assert render_value(value) == rendered
+        assert json.loads(json.dumps(render_value(value))) == rendered
+
+    def test_measure3_before_tuple(self):
+        m = Measure3(0, (), 7)
+        assert isinstance(m, tuple)
+        assert render_value(m) == [0, [], 7] != list(m)
+
+    def test_every_family_value_renders_to_json(self):
+        t = rec(merge(VOID, VOID), delta(VOID), delta(delta(VOID)))
+        for family in catalog() + [canonical_family()]:
+            json.dumps(render_value(family.valuation(t)))
 
 
 class TestJsonForms:

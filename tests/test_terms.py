@@ -28,6 +28,7 @@ from ko7.terms import (
     replace_at,
     size,
     subterm_at,
+    subterms,
     term_from_json,
     term_to_json,
     terms_of_size,
@@ -112,6 +113,21 @@ def reference_replace_at(t: Term, position, replacement: Term) -> Term:
 def reference_size(t: Term) -> int:
     """Reference oracle: the plain recursive node count."""
     return 1 + sum(reference_size(c) for c in t.children)
+
+
+def reference_positions(t: Term):
+    """Reference oracle: the plain recursive prefix-order positions."""
+    yield ()
+    for i, c in enumerate(t.children):
+        for p in reference_positions(c):
+            yield (i,) + p
+
+
+def reference_subterms(t: Term):
+    """Reference oracle: the plain recursive pre-order subterms."""
+    yield t
+    for c in t.children:
+        yield from reference_subterms(c)
 
 
 class _Hashed:
@@ -389,6 +405,28 @@ class TestPositions:
                 want.value.index,
                 str(want.value),
             )
+
+    def test_positions_and_subterms_match_reference(self):
+        for t in enumerate_terms(7):
+            assert list(positions(t)) == list(reference_positions(t))
+            got = list(subterms(t))
+            want = list(reference_subterms(t))
+            assert len(got) == len(want)
+            assert all(u is v for u, v in zip(got, want))
+
+    def test_positions_and_subterms_on_a_deep_chain(self):
+        chain = VOID
+        for _ in range(5000):
+            chain = delta(chain)
+        t = rec(VOID, VOID, chain)  # far deeper than the recursion limit
+        kinds = [u.kind for u in subterms(t)]
+        assert len(kinds) == 5004
+        assert kinds[:4] == ["rec", "void", "void", "delta"]
+        assert kinds[-1] == "void"
+        ps = list(positions(t))
+        assert len(ps) == 5004
+        assert ps[:4] == [(), (0,), (1,), (2,)]
+        assert ps[-1] == (2,) + (0,) * 5000
 
     @given(random_terms)
     def test_replace_with_own_subterm_is_identity(self, t):
