@@ -1,15 +1,17 @@
 """Command-line surface for the KO7 engine.
 
 Terms are quoted S-expressions.  Exit status: 0 for success and expected
-verdicts, 1 for check violations or exhausted fuel, 2 for usage or parse
-errors (a negative fuel or budget, or a term nested too deeply to process,
-is a usage error).  `--json` switches any subcommand to its documented JSON form.
+verdicts, 1 for check violations or exhausted fuel, 2 for usage, parse or
+output errors (a negative fuel or budget, or a term nested too deeply to
+process, is a usage error; a closed stdout is an output error).  `--json`
+switches any subcommand to its documented JSON form.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -108,8 +110,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_measure(args) -> int:
     for t in _read_terms(args):
         m = measure.measure3(t)
-        ms = "{" + ", ".join(str(v) for v in reversed(m.kappa_desc)) + "}"
-        text = f"dflag: {m.dflag}\nkappaM: {ms}\ntau: {m.tau}"
+        text = f"dflag: {m.dflag}\nkappaM: {m._kappa_text()}\ntau: {m.tau}"
         _emit(args, lambda: {"measure": m.to_json()}, text)
     return EXIT_OK
 
@@ -132,16 +133,13 @@ def _cmd_witness_nonjoin(args) -> int:
     except confluence.FuelExhaustedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATION
-    verdict = (
-        "not joinable" if witness.ok else "joinable" if witness.join.joined else "inconclusive"
-    )
     lines = [
         f"source: {terms.render(witness.source)}",
         f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
         f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}",
         f"normal form A: {terms.render(witness.normal_refl)}",
         f"normal form B: {terms.render(witness.normal_diff)}",
-        f"verdict: {verdict} (budget {args.budget})",
+        f"verdict: {witness.verdict} (budget {args.budget})",
     ]
     _emit(args, witness.to_json, "\n".join(lines))
     return EXIT_OK if witness.ok else EXIT_VIOLATION
@@ -370,7 +368,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (terms.TermError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

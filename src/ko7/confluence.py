@@ -9,10 +9,12 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .normalize import normalize_full, normalize_safe
+from .normalize import normalize_full
 from .rewrite import (
+    _SAFE_CTX_KINDS,
     RelationKind,
     StepWitness,
+    _root_rewrites,
     root_steps_safe,
     steps,
 )
@@ -149,20 +151,54 @@ class SweepReport:
         }
 
 
+def _ctx_witness_count(t: Term) -> int:
+    """len(ctx_steps_safe(t)), from t's guarded root rewrites and, below
+    the safe context kinds, its children's counts.  It recurses on t's
+    structure, which the sweeps call only on enumerated terms, whose depth
+    --max-size bounds."""
+    count = len(_root_rewrites(t, True))
+    if t.kind in _SAFE_CTX_KINDS:
+        for child in t.children:
+            count += _ctx_witness_count(child)
+    return count
+
+
 def _local_join_chunk(
-    max_size: int, lo: int, hi: int, relation: RelationKind, budget: int
+    max_size: int, lo: int, hi: int, relation: RelationKind, budget: int, lift: bool
 ) -> SweepReport:
+    """Join the forks of each term in the slice.  With `lift`, only forks
+    with a step at the root are searched, and the others count as joined
+    (critical-pair lemma).  Two steps in one child are that child's fork in
+    a context, and the sweep checks the child itself; steps in different
+    children commute in one step each, as a guard reads only its own redex.
+    The root witnesses come first in pre-order, so they are the first
+    `roots` of steps(t, relation)."""
     report = SweepReport(relation.value, max_size)
+    ctx = relation is RelationKind.SAFE_CTX
     for t in enumerate_terms(max_size, lo, hi):
-        for fork in forks(t, relation):
-            report.forks_checked += 1
-            result = joinable(fork.left.result, fork.right.result, relation, budget)
-            if result.joined:
-                report.joined += 1
-            elif relation is RelationKind.SAFE_ROOT:
-                report.violations.append(fork)
-            else:
-                report.inconclusive.append(fork)
+        roots = len(_root_rewrites(t, True))
+        if lift and not roots:
+            witnesses = ()
+            count = _ctx_witness_count(t) if ctx else 0
+        else:
+            witnesses = steps(t, relation)
+            count = len(witnesses)
+            if not lift:
+                roots = count
+        pairs = count * (count - 1) // 2
+        report.forks_checked += pairs
+        report.joined += pairs  # less each searched fork that fails below
+        for i in range(roots):
+            left = witnesses[i]
+            for right in witnesses[i + 1 :]:
+                if joinable(left.result, right.result, relation, budget).joined:
+                    continue
+                report.joined -= 1
+                fork = Fork(t, left, right)
+                if relation is RelationKind.SAFE_ROOT:
+                    report.violations.append(fork)
+                else:
+                    report.inconclusive.append(fork)
     return report
 
 
@@ -174,10 +210,18 @@ def local_join_sweep(
     A fork that fails to join within budget is a violation for the
     root-guarded relation (strong normalization makes the search complete
     there) and merely inconclusive for the context closure.
+
+    Only forks with a step at the root are searched at first.  If any of
+    them is left inconclusive or fails, the sweep reruns with every fork
+    searched, so a report with anything to show lists exactly the forks
+    that the every-fork search does.
     """
     if relation not in (RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX):
         raise ValueError("local-join sweep is defined for the safe relations")
-    return run_sweep(_local_join_chunk, max_size, workers, relation, budget)
+    report = run_sweep(_local_join_chunk, max_size, workers, relation, budget, True)
+    if report.inconclusive or report.violations:
+        report = run_sweep(_local_join_chunk, max_size, workers, relation, budget, False)
+    return report
 
 
 @dataclass
@@ -221,19 +265,39 @@ def guarded_root_normal_forms(t: Term) -> set[Term]:
     return terminals
 
 
+def _root_normal_form(t: Term) -> Term | None:
+    """t's one guarded-root normal form, or None when it has two or more.
+
+    t's normal forms are those of its root results, or t itself when it
+    has none.  Every guarded root result is a child of t (merge_void_*,
+    merge_cancel, rec_zero) or a term with no guarded root rewrite, so the
+    recursion follows child links only.  The sweep calls it only on
+    enumerated terms, whose depth --max-size bounds."""
+    rewrites = _root_rewrites(t, True)
+    if not rewrites:
+        return t
+    normal = _root_normal_form(rewrites[0][1])
+    for _, result in rewrites[1:]:
+        if normal is None or _root_normal_form(result) != normal:
+            return None
+    return normal
+
+
 def _unique_nf_chunk(max_size: int, lo: int, hi: int) -> UniqueNFReport:
     report = UniqueNFReport(max_size)
     for t in enumerate_terms(max_size, lo, hi):
         report.terms_checked += 1
-        terminals = guarded_root_normal_forms(t)
-        if len(terminals) != 1 or normalize_safe(t).final_term not in terminals:
+        if _root_normal_form(t) is None:
             report.violations.append(t)
     return report
 
 
 def unique_nf_sweep(max_size: int, workers: int = 1) -> UniqueNFReport:
     """For every term, all guarded-root reduction orders must reach exactly
-    one normal form, equal to the normalizer's."""
+    one normal form.  The normalizer follows one of those orders, so its
+    normal form is that one; every step it takes is a guarded root step on
+    a subterm of the term, whose measure decrease `decrease_sweep` checks
+    at the same size."""
     return run_sweep(_unique_nf_chunk, max_size, workers)
 
 
@@ -372,8 +436,16 @@ class NonJoinWitness:
         # an unjoined search proves nothing unless both sides were exhausted
         return self.distinct and not self.join.joined and self.join.exhausted
 
+    @property
+    def verdict(self) -> str:
+        """"not joinable", "joinable" or "inconclusive"."""
+        if self.ok:
+            return "not joinable"
+        return "joinable" if self.join.joined else "inconclusive"
+
     def to_json(self) -> dict:
         return {
+            "verdict": self.verdict,
             "source": term_to_json(self.source),
             "reducts": {
                 "eq_refl": term_to_json(self.reduct_refl),

@@ -78,9 +78,12 @@ class Measure3(_Triple):
     def to_json(self) -> list:
         return [self.dflag, list(reversed(self.kappa_desc)), self.tau]
 
+    def _kappa_text(self) -> str:
+        """The multiset as `{a, b, ...}`, elements ascending."""
+        return "{" + ", ".join(str(v) for v in reversed(self.kappa_desc)) + "}"
+
     def __str__(self):
-        ms = "{" + ", ".join(str(v) for v in reversed(self.kappa_desc)) + "}"
-        return f"({self.dflag}, {ms}, {self.tau})"
+        return f"({self.dflag}, {self._kappa_text()}, {self.tau})"
 
 
 def measure3(t: Term) -> Measure3:

@@ -215,6 +215,14 @@ class TestWitnessNonjoin:
         assert "not joinable" not in result.stdout
         assert result.stdout.endswith(f"verdict: inconclusive (budget {budget})\n")
 
+    @pytest.mark.parametrize("budget, status, verdict", [
+        ("0", 1, "inconclusive"), ("1", 1, "inconclusive"), ("2", 0, "not joinable"),
+    ])
+    def test_json_says_its_verdict(self, run, budget, status, verdict):
+        got_status, out, _ = run("--json", "witness", "nonjoin", "--budget", budget)
+        assert got_status == status
+        assert json.loads(out)["verdict"] == verdict
+
     def test_budget_2_exhausts_both_sides(self, run):
         status, out, _ = run("witness", "nonjoin", "--budget", "2")
         assert status == 0
@@ -479,7 +487,7 @@ JSON_DIGESTS = {
         (0, "01a99346f90f0090a70b3286b7526b3a818c8f1fc74b9d664521347e8f8c5026"),
     ("check", "stress", "--max-size", "6"):
         (0, "cbb0ca8d3bfefd5a3a218a5025c85777293805d7bd2d4ab43deddb06bc271095"),
-    ("witness", "nonjoin"): (0, "3c93cce0fd05ee764b6f6cfc7ff36e2e75eea1d59d8575984207e9eb2ccb7c4b"),
+    ("witness", "nonjoin"): (0, "0050775921d4145f7c0d500a8aee711314eb72a3550b4a89410ba76fdfd40429"),
     ("check", "nogo", "--max-size", "5"):
         (1, "70ab3cfbf00b7e8666aee86bf4ab45574bf468ce98dc5a65c1509bd8b1a069a4"),
     ("check", "nogo", "--family", "size", "--max-size", "2"):
@@ -565,6 +573,27 @@ class TestUsage:
         assert status == 2
         assert out == ""
         assert "error: max_size must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [("parse", "void"), ("check", "nogo", "--max-size", "6")])
+    def test_closed_stdout_exits_2_without_traceback(self, argv):
+        # the read end is closed before the child starts, so its first
+        # write fails however much output it buffers
+        src = str(Path(ko7.__file__).resolve().parent.parent)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "ko7.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == ""
 
     def test_no_command_exits_2(self, run):
         status, _, _ = run()

@@ -187,10 +187,12 @@ class TestNonJoinWitness:
         assert w.join.exhausted is exhausted
         assert w.ok is exhausted
         assert "exhausted" not in w.join.to_json()
+        assert w.to_json()["verdict"] == ("not joinable" if exhausted else "inconclusive")
 
     def test_json_schema(self):
         payload = non_join_witness().to_json()
         assert set(payload) == {
+            "verdict",
             "source",
             "reducts",
             "normalForms",

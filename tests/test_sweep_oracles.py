@@ -1,0 +1,95 @@
+"""The unique-nf and local-join sweeps decide each term from its root
+rewrites and its children.  These tests hold them to the plain sweeps that
+search every term and every fork, kept here as reference oracles."""
+
+import pytest
+
+import ko7.confluence as confluence
+import ko7.rewrite as rewrite
+from ko7.confluence import (
+    SweepReport,
+    UniqueNFReport,
+    forks,
+    guarded_root_normal_forms,
+    joinable,
+    local_join_sweep,
+    unique_nf_sweep,
+)
+from ko7.normalize import normalize_safe
+from ko7.rewrite import RelationKind, ctx_steps_safe
+from ko7.terms import VOID, enumerate_terms, eqw
+
+
+def unique_nf_oracle(max_size: int) -> UniqueNFReport:
+    """Every guarded-root reduct of every term, explored breadth-first, and
+    the normalizer's normal form among them."""
+    report = UniqueNFReport(max_size)
+    for t in enumerate_terms(max_size):
+        report.terms_checked += 1
+        terminals = guarded_root_normal_forms(t)
+        if len(terminals) != 1 or normalize_safe(t).final_term not in terminals:
+            report.violations.append(t)
+    return report
+
+
+def local_join_oracle(max_size: int, relation: RelationKind, budget: int) -> SweepReport:
+    """A join search for every fork of every term."""
+    report = SweepReport(relation.value, max_size)
+    for t in enumerate_terms(max_size):
+        for fork in forks(t, relation):
+            report.forks_checked += 1
+            if joinable(fork.left.result, fork.right.result, relation, budget).joined:
+                report.joined += 1
+            elif relation is RelationKind.SAFE_ROOT:
+                report.violations.append(fork)
+            else:
+                report.inconclusive.append(fork)
+    return report
+
+
+@pytest.fixture(scope="module")
+def terms_9():
+    return enumerate_terms(9)
+
+
+def test_root_normal_form_is_the_only_normal_form(terms_9):
+    for t in terms_9:
+        (normal,) = guarded_root_normal_forms(t)
+        assert confluence._root_normal_form(t) == normal == normalize_safe(t).final_term
+
+
+@pytest.mark.parametrize("max_size", range(1, 10))
+def test_unique_nf_matches_the_oracle(max_size):
+    assert unique_nf_sweep(max_size).to_json() == unique_nf_oracle(max_size).to_json()
+
+
+def test_unique_nf_matches_the_oracle_on_full_root_rewrites(monkeypatch):
+    # unguarded, eqw void void steps to both void and (integrate (merge void
+    # void)), so it and every term that root-reduces to it have two normal
+    # forms.  Above size 6 the oracle's normalizer refuses an unguarded step
+    # that raises the measure, as it should.
+    guarded = rewrite._root_rewrites
+
+    def unguarded(t, safe):
+        return guarded(t, False)
+
+    monkeypatch.setattr(rewrite, "_root_rewrites", unguarded)
+    monkeypatch.setattr(confluence, "_root_rewrites", unguarded)
+    want = unique_nf_oracle(6)
+    assert eqw(VOID, VOID) in want.violations
+    assert len(want.violations) == 6
+    assert unique_nf_sweep(6).to_json() == want.to_json()
+
+
+def test_witness_count_is_the_number_of_ctx_steps():
+    for t in enumerate_terms(8):
+        assert confluence._ctx_witness_count(t) == len(ctx_steps_safe(t))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 200])
+@pytest.mark.parametrize("relation", [RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX])
+def test_local_join_matches_every_fork_search(relation, budget):
+    for max_size in range(1, 9):
+        want = local_join_oracle(max_size, relation, budget).to_json()
+        for workers in (1, 2):
+            assert local_join_sweep(max_size, relation, budget, workers).to_json() == want
