@@ -211,15 +211,16 @@ def local_join_sweep(
     root-guarded relation (strong normalization makes the search complete
     there) and merely inconclusive for the context closure.
 
-    Only forks with a step at the root are searched at first.  If any of
-    them is left inconclusive or fails, the sweep reruns with every fork
-    searched, so a report with anything to show lists exactly the forks
-    that the every-fork search does.
+    Only forks with a step at the root are searched at first.  For the
+    root-guarded relation every fork is one, so that pass is the whole
+    search.  For the context closure, if a searched fork is left
+    inconclusive, the sweep reruns with every fork searched, so the report
+    lists exactly the inconclusive forks that the every-fork search does.
     """
     if relation not in (RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX):
         raise ValueError("local-join sweep is defined for the safe relations")
     report = run_sweep(_local_join_chunk, max_size, workers, relation, budget, True)
-    if report.inconclusive or report.violations:
+    if report.inconclusive:
         report = run_sweep(_local_join_chunk, max_size, workers, relation, budget, False)
     return report
 

@@ -93,14 +93,12 @@ def normalize_safe(t: Term) -> Trace:
     decrease on every step and records both measures."""
     steps: list[TraceStep] = []
     current = t
-    before = None  # measured once a step exists: most terms take none
+    before = measure3(t)
     while True:
         witnesses = root_steps_safe(current)
         if not witnesses:
             return Trace(t, tuple(steps), current)
         w = witnesses[0]
-        if before is None:
-            before = measure3(current)
         after = measure3(w.result)
         if not lex3_less(after, before):
             raise MeasureInvariantError(w, before, after)

@@ -12,6 +12,7 @@ immutable and pure.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
@@ -30,7 +31,7 @@ class TermError(ValueError):
 
 
 class ParseError(TermError):
-    """Malformed surface syntax; `offset` is the byte offset of the error."""
+    """Malformed surface syntax; `offset` is the character offset of the error."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -156,7 +157,7 @@ class Term:
 def _node(kind: str, children: tuple[Term, ...]) -> Term:
     """A node whose kind and arity are known to be valid, built without
     `Term.__init__`'s check: for the enumeration and `replace_at`, which
-    copy them from valid nodes."""
+    copy them from valid nodes, and for `parse`, which checks them itself."""
     t = _new(Term)
     _set(t, "kind", kind)
     _set(t, "children", children)
@@ -206,73 +207,61 @@ def render(t: Term) -> str:
     return "(" + t.kind + " " + " ".join(render(c) for c in t.children) + ")"
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            tokens.append((text[start:i], start))
-    return tokens
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def parse(text: str) -> Term:
     """Parse one term from the grammar `void | (delta T) | ... | (eqw T T)`.
 
-    Raises ParseError (with byte offset) on malformed input and ArityError
-    when a constructor is applied to the wrong number of subterms.
+    Raises ParseError (with the character offset of the error) on malformed
+    input and ArityError when a constructor is applied to the wrong number
+    of subterms.  The open constructors are kept on an explicit stack, so
+    any depth parses.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    stack: list[tuple[str, int, list[Term]]] = []  # (head, head offset, children)
+    term = None
+    off = 0
+    tokens = _TOKEN.finditer(text)
+    for match in tokens:
+        tok, off = match[0], match.start()
+        if term is not None:
+            raise ParseError(f"trailing input {tok!r}", off)
+        if tok == "(":
+            match = next(tokens, None)
+            if match is None:
+                raise ParseError("unexpected end of input after '('", off)
+            head, off = match[0], match.start()
+            if head in "()":
+                raise ParseError("expected a constructor after '('", off)
+            if head == "void":
+                raise ParseError("'void' is written bare, without parentheses", off)
+            if head not in ARITY:
+                raise ParseError(f"unknown constructor {head!r}", off)
+            stack.append((head, off, []))
+            continue
+        if tok == "void":
+            node = VOID
+        elif tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", off)
+            head, head_off, children = stack.pop()
+            if len(children) != ARITY[head]:
+                raise ArityError(head, ARITY[head], len(children), head_off)
+            node = _node(head, tuple(children))
+        elif tok in ARITY:
+            # a non-nullary constructor used bare, e.g. "delta"
+            raise ParseError(f"constructor {tok!r} requires parentheses", off)
+        else:
+            raise ParseError(f"unexpected token {tok!r}", off)
+        if stack:
+            stack[-1][2].append(node)
+        else:
+            term = node
+    if stack:
+        raise ParseError("missing ')'", off)
+    if term is None:
         raise ParseError("empty input", 0)
-    term, pos = _parse_at(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
     return term
-
-
-def _parse_at(tokens: list[tuple[str, int]], pos: int) -> tuple[Term, int]:
-    tok, off = tokens[pos]
-    if tok == "void":
-        return VOID, pos + 1
-    if tok == "(":
-        if pos + 1 >= len(tokens):
-            raise ParseError("unexpected end of input after '('", off)
-        head, head_off = tokens[pos + 1]
-        if head in "()":
-            raise ParseError("expected a constructor after '('", head_off)
-        if head == "void":
-            raise ParseError("'void' is written bare, without parentheses", head_off)
-        if head not in ARITY:
-            raise ParseError(f"unknown constructor {head!r}", head_off)
-        pos += 2
-        children = []
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("missing ')'", tokens[-1][1])
-            if tokens[pos][0] == ")":
-                pos += 1
-                break
-            child, pos = _parse_at(tokens, pos)
-            children.append(child)
-        if len(children) != ARITY[head]:
-            raise ArityError(head, ARITY[head], len(children), head_off)
-        return Term(head, tuple(children)), pos
-    if tok == ")":
-        raise ParseError("unexpected ')'", off)
-    if tok in ARITY:
-        # a non-nullary constructor used bare, e.g. "delta"
-        raise ParseError(f"constructor {tok!r} requires parentheses", off)
-    raise ParseError(f"unexpected token {tok!r}", off)
 
 
 def subterm_at(t: Term, position: Sequence[int]) -> Term:

@@ -7,6 +7,7 @@ import pytest
 import ko7.confluence as confluence
 import ko7.rewrite as rewrite
 from ko7.confluence import (
+    JoinResult,
     SweepReport,
     UniqueNFReport,
     forks,
@@ -93,3 +94,27 @@ def test_local_join_matches_every_fork_search(relation, budget):
         want = local_join_oracle(max_size, relation, budget).to_json()
         for workers in (1, 2):
             assert local_join_sweep(max_size, relation, budget, workers).to_json() == want
+
+
+@pytest.mark.parametrize("max_size", [3, 6])
+def test_root_local_join_runs_once_when_every_fork_fails(monkeypatch, max_size):
+    # every fork of the root-guarded relation has a step at the root, so the
+    # first pass has searched them all: failed forks are violations, and no
+    # second pass is needed to report them
+    def never(left, right, relation, budget):
+        return JoinResult(False, None, (), (), 0)
+
+    run_sweep = confluence.run_sweep
+    passes = []  # the lift flag of each pass
+
+    def counted(*args):
+        passes.append(args[-1])
+        return run_sweep(*args)
+
+    monkeypatch.setitem(globals(), "joinable", never)  # the oracle's
+    monkeypatch.setattr(confluence, "joinable", never)
+    monkeypatch.setattr(confluence, "run_sweep", counted)
+    want = local_join_oracle(max_size, RelationKind.SAFE_ROOT, 200)
+    assert want.violations
+    assert local_join_sweep(max_size, RelationKind.SAFE_ROOT, 200).to_json() == want.to_json()
+    assert passes == [True]

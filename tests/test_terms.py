@@ -3,7 +3,7 @@ import pickle
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ko7.terms import (
     ARITY,
@@ -147,6 +147,113 @@ def reference_hash(t: Term) -> int:
     return hash((t.kind, tuple(_Hashed(reference_hash(c)) for c in t.children)))
 
 
+def _reference_tokenize(text: str) -> list[tuple[str, int]]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            tokens.append((c, i))
+            i += 1
+        else:
+            start = i
+            while i < n and not text[i].isspace() and text[i] not in "()":
+                i += 1
+            tokens.append((text[start:i], start))
+    return tokens
+
+
+def reference_parse(text: str) -> Term:
+    """Reference oracle: a character-loop tokenizer and a plain recursive
+    descent, with the same errors at the same offsets as parse."""
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise ParseError("empty input", 0)
+    term, pos = _reference_parse_at(tokens, 0)
+    if pos != len(tokens):
+        raise ParseError(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
+    return term
+
+
+def _reference_parse_at(tokens: list[tuple[str, int]], pos: int) -> tuple[Term, int]:
+    tok, off = tokens[pos]
+    if tok == "void":
+        return VOID, pos + 1
+    if tok == "(":
+        if pos + 1 >= len(tokens):
+            raise ParseError("unexpected end of input after '('", off)
+        head, head_off = tokens[pos + 1]
+        if head in "()":
+            raise ParseError("expected a constructor after '('", head_off)
+        if head == "void":
+            raise ParseError("'void' is written bare, without parentheses", head_off)
+        if head not in ARITY:
+            raise ParseError(f"unknown constructor {head!r}", head_off)
+        pos += 2
+        children = []
+        while True:
+            if pos >= len(tokens):
+                raise ParseError("missing ')'", tokens[-1][1])
+            if tokens[pos][0] == ")":
+                pos += 1
+                break
+            child, pos = _reference_parse_at(tokens, pos)
+            children.append(child)
+        if len(children) != ARITY[head]:
+            raise ArityError(head, ARITY[head], len(children), head_off)
+        return Term(head, tuple(children)), pos
+    if tok == ")":
+        raise ParseError("unexpected ')'", off)
+    if tok in ARITY:
+        raise ParseError(f"constructor {tok!r} requires parentheses", off)
+    raise ParseError(f"unexpected token {tok!r}", off)
+
+
+def _outcome(parser, text: str):
+    """The term parsed, or the class, message and offset of the error."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return type(err), str(err), err.offset
+
+
+# Token soups: constructor names, parentheses, unknown and glued words,
+# joined by nothing or by ASCII and Unicode spaces.
+_soup_tokens = st.sampled_from(
+    [*KINDS, "(", ")", "(", ")", "foo", "Void", "delta2", "(delta", "void)", "(void)",
+     "eqw(void", "))", "(("]
+)
+_separators = st.sampled_from(["", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\r\n"])
+token_soups = st.builds(
+    "".join,
+    st.lists(st.tuples(_separators, _soup_tokens, _separators).map("".join), max_size=24),
+)
+# Rendered terms with one token dropped, duplicated or replaced, so that
+# most inputs get far into a well-formed term before they fail.
+rendered_soups = st.builds(
+    lambda t, i, how, tok: _splice(render(t), i, how, tok),
+    random_terms,
+    st.integers(0, 200),
+    st.sampled_from(["keep", "drop", "dup", "swap"]),
+    _soup_tokens,
+)
+
+
+def _splice(text: str, i: int, how: str, tok: str) -> str:
+    parts = text.replace("(", "( ").replace(")", " )").split()
+    i %= len(parts)
+    if how == "drop":
+        del parts[i]
+    elif how == "dup":
+        parts.insert(i, parts[i])
+    elif how == "swap":
+        parts[i] = tok
+    return "\u2003".join(parts) if i % 2 else " ".join(parts)
+
+
 def built_terms():
     """Terms built every way the library builds them, none from the
     enumeration caches: parse, replace_at, term_from_json and pickle."""
@@ -263,6 +370,26 @@ class TestParseRender:
     @given(random_terms)
     def test_roundtrip_random(self, t):
         assert parse(render(t)) == t
+
+    @settings(max_examples=500)
+    @given(st.one_of(token_soups, rendered_soups))
+    def test_matches_reference_parser(self, text):
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+    def test_offset_is_a_character_index(self):
+        with pytest.raises(ParseError) as err:
+            parse("\u2003foo")
+        assert err.value.offset == 1
+
+    def test_any_depth_parses(self):
+        depth = 100_000
+        t = parse("(delta " * depth + "void" + ")" * depth)
+        # size, hash and render still recurse: walk the chain by a loop
+        chain = 0
+        while t.kind == "delta":
+            (t,) = t.children
+            chain += 1
+        assert (chain, t) == (depth, VOID)
 
 
 class TestSize:
