@@ -387,18 +387,18 @@ def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
         rows = _shape_targets(t)
         if not rows:
             continue
-        witnesses = root_steps_safe(t)
-        if not witnesses:
+        rewrites = _root_rewrites(t, True)
+        if not rewrites:
             continue  # guard-blocked instance, shape not realized here
         for shape, target in rows:
             report.instances[shape] = report.instances.get(shape, 0) + 1
-            if any(w.result != target for w in witnesses):
+            if any(result != target for _, result in rewrites):
                 report.mismatches.append((shape, t))
     for a in pool:
         if a.rec_taus:  # kappa_m(a) is nonempty
             report.vacuous_checked += 1
             blocked = eqw(a, a)
-            if root_steps_safe(blocked):
+            if _root_rewrites(blocked, True):
                 report.vacuous_violations.append(blocked)
     return report
 

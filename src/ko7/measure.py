@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .rewrite import StepWitness, delta_flag, root_steps_safe
+from .rewrite import StepWitness, _root_rewrites, delta_flag
 from .terms import Term, enumerate_terms
 from .workers import run_sweep
 
@@ -138,20 +138,22 @@ class DecreaseReport:
 
 
 def _decrease_chunk(max_size: int, lo: int, hi: int) -> DecreaseReport:
+    """Each guarded root rewrite of each term in the slice; a StepWitness
+    is built only for a violation."""
     report = DecreaseReport(max_size)
     for t in enumerate_terms(max_size, lo, hi):
-        witnesses = root_steps_safe(t)
-        if not witnesses:
+        rewrites = _root_rewrites(t, True)
+        if not rewrites:
             continue
         before = measure3(t)
-        for w in witnesses:
+        for rule, result in rewrites:
             report.checked += 1
-            component = deciding_component(measure3(w.result), before)
+            component = deciding_component(measure3(result), before)
             if component is None:
-                report.violations.append(w)
+                report.violations.append(StepWitness(rule, (), t, result))
             else:
                 report.decided_by[component] += 1
-                report.by_rule.setdefault(w.rule.value, Counter())[component] += 1
+                report.by_rule.setdefault(rule.value, Counter())[component] += 1
     return report
 
 

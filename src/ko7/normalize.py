@@ -14,7 +14,7 @@ from itertools import islice
 
 from .measure import Measure3, lex3_less, measure3
 from .rewrite import StepWitness, _full_steps, root_steps_safe
-from .terms import Term, term_to_json
+from .terms import Term, _collector_paused, term_to_json
 
 DEFAULT_FUEL = 10_000
 
@@ -115,10 +115,14 @@ def normalize_full(t: Term, fuel: int = DEFAULT_FUEL) -> FullRunResult:
     re-checking only the rebuilt ancestors, so no node is walked twice
     except along the rewritten spine.  Each step's result is still a whole
     term rebuilt from the root, so a run costs O(steps x depth) node
-    constructions (a delta-chain of length n, O(n^2)), not linear time."""
-    walk = _full_steps(t)
-    steps = tuple(islice(walk, fuel))
-    return FullRunResult(next(walk, None) is None, steps[-1].result if steps else t, steps)
+    constructions (a delta-chain of length n, O(n^2)), not linear time.
+    The walk runs with the cyclic collector paused: the terms it builds
+    form no cycles (see `terms._collector_paused`)."""
+    with _collector_paused():
+        walk = _full_steps(t)
+        steps = tuple(islice(walk, fuel))
+        normalized = next(walk, None) is None
+    return FullRunResult(normalized, steps[-1].result if steps else t, steps)
 
 
 def reaches_target(t: Term, target: Term) -> bool:

@@ -12,7 +12,9 @@ immutable and pure.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
@@ -162,6 +164,26 @@ def _node(kind: str, children: tuple[Term, ...]) -> Term:
     _set(t, "kind", kind)
     _set(t, "children", children)
     return t
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector disabled, then put
+    it back as it was (enabled or not), also when the body raises.
+
+    Terms are acyclic: a node is immutable and its children exist before
+    it, so no term refers back to itself, and reference counting frees
+    every term as soon as it is dropped.  The collector can free nothing
+    here, yet each node and child tuple counts toward its thresholds, and
+    each full pass walks every live term again.  The sweeps and the full
+    reducer build millions of them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 VOID = Term("void")

@@ -16,9 +16,10 @@ subcommands may use (default 1: serial).
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, TypeVar
 
-from .terms import count_terms
+from .terms import _collector_paused, count_terms
 
 R = TypeVar("R")
 
@@ -35,13 +36,21 @@ def resolve_workers() -> int:
     return max(1, min(cap, os.cpu_count() or 1))
 
 
+def _paused_chunk(chunk_fn: Callable[..., R], *task) -> R:
+    with _collector_paused():
+        return chunk_fn(*task)
+
+
 def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) -> R:
     """Apply chunk_fn(max_size, lo, hi, *args) to contiguous [lo, hi) slices
     of enumerate_terms(max_size) and merge the partial reports in slice
     order.  One slice when serial, CHUNKS_PER_WORKER per worker otherwise,
-    run on a process pool and submitted last slice first.  The pool module
-    is imported only here: it is a sizable share of the package's import
-    time, which every command pays and few commands need."""
+    run on a process pool and submitted last slice first.  Each slice runs
+    with the cyclic collector paused (`terms._collector_paused`: the terms
+    it builds form no cycles), and the collector is then put back as it
+    was.  The pool module is imported only here: it is a sizable share of
+    the package's import time, which every command pays and few commands
+    need."""
     total = count_terms(max_size)
     chunks = workers * CHUNKS_PER_WORKER if workers > 1 else 1
     chunks = max(1, min(chunks, total))
@@ -52,6 +61,7 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
         hi = lo + base + (1 if i < extra else 0)
         tasks.append((max_size, lo, hi, *args))
         lo = hi
+    chunk_fn = partial(_paused_chunk, chunk_fn)
     if chunks == 1:
         parts = [chunk_fn(*tasks[0])]
     else:

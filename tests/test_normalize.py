@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ko7.normalize
 import ko7.rewrite
 from ko7.measure import lex3_less, tau
 from ko7.normalize import (
@@ -212,6 +215,37 @@ class TestNormalizeFull:
             run = normalize_full(t, fuel=fuel)
             assert not run.normalized
             assert run.to_json() == reference_normalize_full(t, fuel).to_json()
+
+
+class _WalkFailed(Exception):
+    pass
+
+
+class TestNormalizeFullCollector:
+    def test_walks_with_the_collector_paused_and_puts_it_back(self, monkeypatch, collector):
+        seen = []
+        walk = ko7.rewrite._full_steps
+
+        def watched(t):
+            seen.append(gc.isenabled())
+            yield from walk(t)
+            seen.append(gc.isenabled())
+
+        monkeypatch.setattr(ko7.normalize, "_full_steps", watched)
+        run = normalize_full(delta_chain(20))
+        assert run.normalized and run.steps_taken == 21
+        assert seen == [False, False]
+        assert gc.isenabled() is collector
+
+    def test_puts_the_collector_back_when_the_walk_raises(self, monkeypatch, collector):
+        def failing(t):
+            raise _WalkFailed
+            yield
+
+        monkeypatch.setattr(ko7.normalize, "_full_steps", failing)
+        with pytest.raises(_WalkFailed):
+            normalize_full(delta_chain(3))
+        assert gc.isenabled() is collector
 
 
 class TestReachesTarget:

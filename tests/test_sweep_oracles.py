@@ -1,10 +1,12 @@
 """The unique-nf and local-join sweeps decide each term from its root
-rewrites and its children.  These tests hold them to the plain sweeps that
-search every term and every fork, kept here as reference oracles."""
+rewrites and its children, and the decrease sweep builds a witness only for
+a violation.  These tests hold them to the plain sweeps that search every
+term and every fork, kept here as reference oracles."""
 
 import pytest
 
 import ko7.confluence as confluence
+import ko7.measure as measure
 import ko7.rewrite as rewrite
 from ko7.confluence import (
     JoinResult,
@@ -17,8 +19,8 @@ from ko7.confluence import (
     unique_nf_sweep,
 )
 from ko7.normalize import normalize_safe
-from ko7.rewrite import RelationKind, ctx_steps_safe
-from ko7.terms import VOID, enumerate_terms, eqw
+from ko7.rewrite import RelationKind, ctx_steps_safe, root_steps_safe
+from ko7.terms import VOID, count_terms, enumerate_terms, eqw
 
 
 def unique_nf_oracle(max_size: int) -> UniqueNFReport:
@@ -118,3 +120,16 @@ def test_root_local_join_runs_once_when_every_fork_fails(monkeypatch, max_size):
     assert want.violations
     assert local_join_sweep(max_size, RelationKind.SAFE_ROOT, 200).to_json() == want.to_json()
     assert passes == [True]
+
+
+@pytest.mark.parametrize("max_size", [3, 7])
+def test_decrease_violations_are_the_root_witnesses(monkeypatch, max_size):
+    # with every instance a violation, the chunk must report exactly the
+    # witnesses root_steps_safe lists, term by term in enumeration order
+    monkeypatch.setattr(measure, "deciding_component", lambda after, before: None)
+    want = [w for t in enumerate_terms(max_size) for w in root_steps_safe(t)]
+    assert want
+    report = measure._decrease_chunk(max_size, 0, count_terms(max_size))
+    assert report.violations == want
+    assert report.checked == len(want)
+    assert not report.decided_by and not report.by_rule

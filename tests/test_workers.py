@@ -1,8 +1,13 @@
+import gc
 import os
 
 import pytest
 
-from ko7.terms import count_terms
+from ko7.confluence import _coverage_chunk, _local_join_chunk, _unique_nf_chunk
+from ko7.measure import _decrease_chunk
+from ko7.normalize import normalize_full
+from ko7.rewrite import RelationKind
+from ko7.terms import VOID, _collector_paused, count_terms, delta, rec
 from ko7.workers import CHUNKS_PER_WORKER, resolve_workers, run_sweep
 
 
@@ -70,3 +75,61 @@ def test_run_sweep_submits_last_slice_first(monkeypatch):
     merged = [s[1:3] for s in run_sweep(_slice_chunk, 5, 2, "t").slices]
     assert _SerialPool.submitted == merged[::-1]
     assert merged[0][0] == 0 and merged[-1][1] == count_terms(5)
+
+
+def _collector_chunk(max_size, lo, hi):
+    return _Slices([gc.isenabled()])
+
+
+class _ChunkFailed(Exception):
+    pass
+
+
+def _failing_chunk(max_size, lo, hi):
+    raise _ChunkFailed
+
+
+def test_every_pooled_chunk_runs_with_the_collector_paused():
+    assert run_sweep(_collector_chunk, 5, 2).slices == [False] * (2 * CHUNKS_PER_WORKER)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_pauses_the_collector_and_puts_it_back(monkeypatch, collector, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    chunks = 1 if workers == 1 else workers * CHUNKS_PER_WORKER
+    assert run_sweep(_collector_chunk, 5, workers).slices == [False] * chunks
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_puts_the_collector_back_when_a_chunk_raises(monkeypatch, collector, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    with pytest.raises(_ChunkFailed):
+        run_sweep(_failing_chunk, 5, workers)
+    assert gc.isenabled() is collector
+
+
+def test_sweeps_and_the_full_reducer_leave_no_cyclic_garbage():
+    # the premise of the pause: terms and what the sweeps build from them
+    # form no reference cycles, so reference counting frees all of it
+    chain = VOID
+    for _ in range(200):
+        chain = delta(chain)
+    total = count_terms(6)
+    gc.collect()
+    with _collector_paused():
+        _decrease_chunk(6, 0, total)
+        _unique_nf_chunk(6, 0, total)
+        _coverage_chunk(6, 0, total)
+        for relation, budget, lift in (
+            (RelationKind.SAFE_ROOT, 200, True),
+            (RelationKind.SAFE_CTX, 200, True),
+            (RelationKind.SAFE_CTX, 1, False),
+        ):
+            _local_join_chunk(6, 0, total, relation, budget, lift)
+        assert normalize_full(rec(VOID, VOID, chain)).steps_taken == 201
+        assert gc.collect() == 0
