@@ -118,11 +118,7 @@ def _cmd_measure(args) -> int:
 def _cmd_reaches(args) -> int:
     t = terms.parse(args.term)
     target = terms.parse(args.target)
-    try:
-        verdict = normalize.reaches_target(t, target)
-    except normalize.TargetNotNormalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    verdict = normalize.reaches_target(t, target)
     _emit(args, lambda: {"reaches": verdict}, "true" if verdict else "false")
     return EXIT_OK
 
@@ -256,7 +252,7 @@ def _cmd_check_lpo(args) -> int:
     report = nogo.lpo_boundary_report(max_size=args.max_size)
     lines = [
         f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
-        f"first: {' < '.join(report.precedence)}",
+        f"first: {' < '.join(report.precedence) or '-'}",
         f"instances checked: {report.instances_checked}",
     ]
     if report.rank_only.found:
@@ -271,7 +267,7 @@ def _cmd_check_stress(args) -> int:
     report = nogo.duplication_stress(args.max_size)
     lines = [
         f"rec_succ instances: {report.instances} (size <= {args.max_size})",
-        f"fitted identity: {report.identity}",
+        f"fitted identity: {report.identity or 'none (no rec_succ instance)'}",
         f"identity failures: {len(report.failures)}",
         f"strict size drops: {report.strict_drops}",
     ]

@@ -6,7 +6,7 @@ coverage, and the full-relation non-join witness at eqw void void.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .normalize import normalize_full
@@ -48,16 +48,7 @@ class JoinResult:
     left_path: tuple[StepWitness, ...]
     right_path: tuple[StepWitness, ...]
     budget_used: int
-    exhausted: bool = False  # both sides ran out of reducts (not in to_json)
-
-    def to_json(self) -> dict:
-        return {
-            "joined": self.joined,
-            "common": term_to_json(self.common) if self.common else None,
-            "leftPath": [w.to_json() for w in self.left_path],
-            "rightPath": [w.to_json() for w in self.right_path],
-            "budgetUsed": self.budget_used,
-        }
+    exhausted: bool = False  # both sides ran out of reducts
 
 
 def forks(t: Term, relation: RelationKind) -> list[Fork]:
@@ -118,20 +109,17 @@ class SweepReport:
     relation: str
     max_size: int
     forks_checked: int = 0
-    joined: int = 0
     inconclusive: list[Fork] = field(default_factory=list)
     violations: list[Fork] = field(default_factory=list)
+
+    @property
+    def joined(self) -> int:
+        return self.forks_checked - len(self.inconclusive) - len(self.violations)
 
     @property
     def ok(self) -> bool:
         # with no fork every fork joins vacuously
         return self.forks_checked >= 1 and not self.violations
-
-    def merge(self, other: "SweepReport") -> None:
-        self.forks_checked += other.forks_checked
-        self.joined += other.joined
-        self.inconclusive.extend(other.inconclusive)
-        self.violations.extend(other.violations)
 
     def to_json(self) -> dict:
         def fork_json(f: Fork) -> dict:
@@ -185,15 +173,12 @@ def _local_join_chunk(
             count = len(witnesses)
             if not lift:
                 roots = count
-        pairs = count * (count - 1) // 2
-        report.forks_checked += pairs
-        report.joined += pairs  # less each searched fork that fails below
+        report.forks_checked += count * (count - 1) // 2
         for i in range(roots):
             left = witnesses[i]
             for right in witnesses[i + 1 :]:
                 if joinable(left.result, right.result, relation, budget).joined:
                     continue
-                report.joined -= 1
                 fork = Fork(t, left, right)
                 if relation is RelationKind.SAFE_ROOT:
                     report.violations.append(fork)
@@ -234,10 +219,6 @@ class UniqueNFReport:
     @property
     def ok(self) -> bool:
         return self.terms_checked >= 1 and not self.violations
-
-    def merge(self, other: "UniqueNFReport") -> None:
-        self.terms_checked += other.terms_checked
-        self.violations.extend(other.violations)
 
     def to_json(self) -> dict:
         return {
@@ -348,7 +329,7 @@ def _shape_targets(t: Term) -> list[tuple[str, Term]]:
 @dataclass
 class CoverageReport:
     max_size: int
-    instances: dict[str, int] = field(default_factory=dict)
+    instances: Counter = field(default_factory=Counter)  # shape -> instances
     mismatches: list[tuple[str, Term]] = field(default_factory=list)
     vacuous_checked: int = 0
     vacuous_violations: list[Term] = field(default_factory=list)
@@ -358,20 +339,13 @@ class CoverageReport:
         return (
             not self.mismatches
             and not self.vacuous_violations
-            and all(self.instances.get(s, 0) >= 1 for s in _ROOT_SHAPES)
+            and all(self.instances[s] >= 1 for s in _ROOT_SHAPES)
         )
-
-    def merge(self, other: "CoverageReport") -> None:
-        for shape, count in other.instances.items():
-            self.instances[shape] = self.instances.get(shape, 0) + count
-        self.mismatches.extend(other.mismatches)
-        self.vacuous_checked += other.vacuous_checked
-        self.vacuous_violations.extend(other.vacuous_violations)
 
     def to_json(self) -> dict:
         return {
             "maxSize": self.max_size,
-            "instances": {s: self.instances.get(s, 0) for s in _ROOT_SHAPES},
+            "instances": {s: self.instances[s] for s in _ROOT_SHAPES},
             "mismatches": [
                 {"shape": s, "term": term_to_json(t)} for s, t in self.mismatches
             ],
@@ -391,7 +365,7 @@ def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
         if not rewrites:
             continue  # guard-blocked instance, shape not realized here
         for shape, target in rows:
-            report.instances[shape] = report.instances.get(shape, 0) + 1
+            report.instances[shape] += 1
             if any(result != target for _, result in rewrites):
                 report.mismatches.append((shape, t))
     for a in pool:
@@ -429,8 +403,11 @@ class NonJoinWitness:
     reduct_diff: Term
     normal_refl: Term
     normal_diff: Term
-    distinct: bool
     join: JoinResult
+
+    @property
+    def distinct(self) -> bool:
+        return self.normal_refl != self.normal_diff
 
     @property
     def ok(self) -> bool:
@@ -482,6 +459,5 @@ def non_join_witness(budget: int = 1000, fuel: int = 1000) -> NonJoinWitness:
         reduct_diff,
         run_refl.term,
         run_diff.term,
-        run_refl.term != run_diff.term,
         join,
     )

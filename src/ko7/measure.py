@@ -106,33 +106,41 @@ def deciding_component(after: Measure3, before: Measure3) -> str | None:
 @dataclass
 class DecreaseReport:
     max_size: int
-    checked: int = 0
     violations: list[StepWitness] = field(default_factory=list)
-    decided_by: Counter = field(default_factory=Counter)
-    by_rule: dict[str, Counter] = field(default_factory=dict)
+    decisions: Counter = field(default_factory=Counter)  # (rule, component) -> instances
+
+    @property
+    def checked(self) -> int:
+        return len(self.violations) + sum(self.decisions.values())
+
+    @property
+    def decided_by(self) -> Counter:
+        """Instances per deciding component."""
+        counts: Counter = Counter()
+        for (_, component), n in self.decisions.items():
+            counts[component] += n
+        return counts
+
+    @property
+    def by_rule(self) -> dict[str, Counter]:
+        """Instances per deciding component, per rule."""
+        counts: dict[str, Counter] = {}
+        for (rule, component), n in self.decisions.items():
+            counts.setdefault(rule, Counter())[component] = n
+        return counts
 
     @property
     def ok(self) -> bool:
         # with no instance every step decreases vacuously
         return self.checked >= 1 and not self.violations
 
-    def merge(self, other: "DecreaseReport") -> None:
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-        self.decided_by.update(other.decided_by)
-        for rule, counts in other.by_rule.items():
-            self.by_rule.setdefault(rule, Counter()).update(counts)
-
     def to_json(self) -> dict:
+        decided_by = self.decided_by
         return {
             "maxSize": self.max_size,
             "checked": self.checked,
             "violations": [w.to_json() for w in self.violations],
-            "decidedBy": {
-                "dflag": self.decided_by["dflag"],
-                "kappaM": self.decided_by["kappaM"],
-                "tau": self.decided_by["tau"],
-            },
+            "decidedBy": {c: decided_by[c] for c in ("dflag", "kappaM", "tau")},
             "byRule": {rule: dict(c) for rule, c in sorted(self.by_rule.items())},
         }
 
@@ -147,13 +155,11 @@ def _decrease_chunk(max_size: int, lo: int, hi: int) -> DecreaseReport:
             continue
         before = measure3(t)
         for rule, result in rewrites:
-            report.checked += 1
             component = deciding_component(measure3(result), before)
             if component is None:
                 report.violations.append(StepWitness(rule, (), t, result))
             else:
-                report.decided_by[component] += 1
-                report.by_rule.setdefault(rule.value, Counter())[component] += 1
+                report.decisions[rule.value, component] += 1
     return report
 
 

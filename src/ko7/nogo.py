@@ -323,11 +323,6 @@ class DepthTieReport:
     depth: int
     constants: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        base = self.witness.to_json()
-        base.update({"depth": self.depth, "constantsChecked": list(self.constants)})
-        return base
-
 
 def duplication_depth_tie(
     max_size: int = 7, constants: tuple[int, ...] = (0, 1, 5)
@@ -361,7 +356,10 @@ class StressReport:
         return self.instances > 0 and not self.failures
 
     @property
-    def identity(self) -> str:
+    def identity(self) -> Optional[str]:
+        """The fitted identity, or None with no rec_succ instance to fit."""
+        if self.fitted_offset is None:
+            return None
         return f"size(result) = size(source) + size(step) + {self.fitted_offset}"
 
     def to_json(self) -> dict:
@@ -480,7 +478,7 @@ class LpoReport:
     subterm clause) orients the kernel, while head precedence alone has a
     concrete counterexample."""
 
-    precedence: tuple[str, ...]  # least to greatest
+    precedence: tuple[str, ...]  # least to greatest; () when none orients
     orienting_count: int
     precedences_checked: int
     instances_checked: int
@@ -509,12 +507,11 @@ def lpo_boundary_report(max_size: int = 5, hunt_size: int = 7) -> LpoReport:
     instances = _rule_instances(max_size)
     verdicts = list(_orienting_orders(instances))
     orienting = [order for order, orients in verdicts if orients]
-    if not orienting:
-        raise RuntimeError("no orienting precedence found")
     rank_only = find_violation(
         catalog_family("precedence-rank"), RelationKind.FULL_ROOT, hunt_size
     )
-    return LpoReport(orienting[0], len(orienting), len(verdicts), len(instances), rank_only)
+    first = orienting[0] if orienting else ()
+    return LpoReport(first, len(orienting), len(verdicts), len(instances), rank_only)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import islice
 
 from .measure import Measure3, lex3_less, measure3
 from .rewrite import StepWitness, _full_steps, root_steps_safe
-from .terms import Term, _collector_paused, term_to_json
+from .terms import Term, TermError, _collector_paused, term_to_json
 
 DEFAULT_FUEL = 10_000
 
@@ -30,7 +30,7 @@ class MeasureInvariantError(RuntimeError):
         self.witness = witness
 
 
-class TargetNotNormalError(ValueError):
+class TargetNotNormalError(TermError):
     """Reachability target is not a normal form of the guarded relation."""
 
 

@@ -1,10 +1,11 @@
 """The sweep runner: one term-enumeration sweep, optionally on a worker pool.
 
 `run_sweep` partitions the term enumeration into contiguous chunks, runs
-them on a pool of workers, and merges the partial reports in chunk order,
-so output is identical for any worker count.  With more than one worker
-there are CHUNKS_PER_WORKER chunks per worker: the cost per term grows with
-its size, so equal slices of the enumeration are far from equal work, and
+them on a pool of workers, and merges the partial reports in chunk order
+by one rule for every report, so output is identical for any worker count
+and no report merges itself.  With more than one worker there are
+CHUNKS_PER_WORKER chunks per worker: the cost per term grows with its
+size, so equal slices of the enumeration are far from equal work, and
 finer chunks let the pool balance the heavy tail.  Chunks are handed to
 the pool last first: the tail of the top size bucket (its rec and eqw
 terms) is the heaviest work, and started last it would leave one worker
@@ -16,6 +17,7 @@ subcommands may use (default 1: serial).
 from __future__ import annotations
 
 import os
+from dataclasses import MISSING, fields
 from functools import partial
 from typing import Callable, TypeVar
 
@@ -50,7 +52,12 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
     it builds form no cycles), and the collector is then put back as it
     was.  The pool module is imported only here: it is a sizable share of
     the package's import time, which every command pays and few commands
-    need."""
+    need.
+
+    A report is a dataclass, and the merge rule is one for all of them: a
+    field with a default (a count, a Counter or a list) is summed with `+`
+    in slice order, and a field without one (max_size, relation)
+    identifies the sweep and is the same in every slice."""
     total = count_terms(max_size)
     chunks = workers * CHUNKS_PER_WORKER if workers > 1 else 1
     chunks = max(1, min(chunks, total))
@@ -70,6 +77,8 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(chunk_fn, *zip(*reversed(tasks))))[::-1]
     report = parts[0]
-    for part in parts[1:]:
-        report.merge(part)
+    for f in fields(report):
+        if f.default is not MISSING or f.default_factory is not MISSING:
+            values = [getattr(part, f.name) for part in parts]
+            setattr(report, f.name, sum(values[1:], values[0]))
     return report

@@ -42,8 +42,8 @@ def local_join_oracle(max_size: int, relation: RelationKind, budget: int) -> Swe
         for fork in forks(t, relation):
             report.forks_checked += 1
             if joinable(fork.left.result, fork.right.result, relation, budget).joined:
-                report.joined += 1
-            elif relation is RelationKind.SAFE_ROOT:
+                continue
+            if relation is RelationKind.SAFE_ROOT:
                 report.violations.append(fork)
             else:
                 report.inconclusive.append(fork)

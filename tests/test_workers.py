@@ -1,12 +1,23 @@
 import gc
 import os
+from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 
-from ko7.confluence import _coverage_chunk, _local_join_chunk, _unique_nf_chunk
-from ko7.measure import _decrease_chunk
+import ko7.confluence as confluence
+from ko7.cli import main
+from ko7.confluence import (
+    CoverageReport,
+    SweepReport,
+    UniqueNFReport,
+    _coverage_chunk,
+    _local_join_chunk,
+    _unique_nf_chunk,
+)
+from ko7.measure import DecreaseReport, _decrease_chunk
 from ko7.normalize import normalize_full
-from ko7.rewrite import RelationKind
+from ko7.rewrite import RelationKind, RuleId
 from ko7.terms import VOID, _collector_paused, count_terms, delta, rec
 from ko7.workers import CHUNKS_PER_WORKER, resolve_workers, run_sweep
 
@@ -26,12 +37,9 @@ def test_resolve_workers_is_capped_at_cpu_count(monkeypatch):
     assert resolve_workers() == 3
 
 
+@dataclass
 class _Slices:
-    def __init__(self, slices):
-        self.slices = slices
-
-    def merge(self, other):
-        self.slices += other.slices
+    slices: list = field(default_factory=list)
 
 
 def _slice_chunk(max_size, lo, hi, tag):
@@ -133,3 +141,89 @@ def test_sweeps_and_the_full_reducer_leave_no_cyclic_garbage():
             _local_join_chunk(6, 0, total, relation, budget, lift)
         assert normalize_full(rec(VOID, VOID, chain)).steps_taken == 201
         assert gc.collect() == 0
+
+
+@dataclass
+class _Tally:
+    name: str
+    count: int = 0
+    items: list = field(default_factory=list)
+    kinds: Counter = field(default_factory=Counter)
+
+
+def _tally_chunk(max_size, lo, hi):
+    return _Tally(f"size {max_size}", hi - lo, [lo], Counter({lo % 2: 1, "all": hi - lo}))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_sums_every_defaulted_field_in_slice_order(monkeypatch, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    total = count_terms(5)
+    merged = run_sweep(_tally_chunk, 5, workers)
+    starts = [lo for lo, _ in reversed(_SerialPool.submitted)] if workers > 1 else [0]
+    assert merged.name == "size 5"
+    assert merged.count == total
+    assert merged.items == starts
+    evens = sum(1 for lo in starts if lo % 2 == 0)
+    assert merged.kinds == Counter({0: evens, 1: len(starts) - evens, "all": total})
+
+
+def test_no_sweep_report_merges_itself():
+    reports = (DecreaseReport, SweepReport, UniqueNFReport, CoverageReport)
+    assert not any(hasattr(report, "merge") for report in reports)
+
+
+@pytest.fixture
+def wrong_root_rewrites(monkeypatch):
+    """Guarded root rewrites with two faults, under the in-process pool:
+    every merge step lands one delta above its target, and eqw a a steps
+    to void even when the guard blocks it.  Yields the unfaulted coverage
+    report at size 6."""
+    import concurrent.futures
+
+    clean = confluence.root_coverage_sweep(6)
+    guarded = confluence._root_rewrites
+
+    def wrong(t, safe):
+        if t.kind == "merge":
+            return [(rule, delta(result)) for rule, result in guarded(t, safe)]
+        if t.kind == "eqw" and t.children[0] == t.children[1]:
+            return [(RuleId.EQ_REFL, VOID)]
+        return guarded(t, safe)
+
+    monkeypatch.setattr(confluence, "_root_rewrites", wrong)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    yield clean
+
+
+class TestCoverageFaults:
+    def test_mismatches_and_blocked_eqw_violations_are_reported(self, wrong_root_rewrites):
+        report = confluence.root_coverage_sweep(6)
+        assert not report.ok
+        assert {shape for shape, _ in report.mismatches} == {
+            "merge-void-left",
+            "merge-void-right",
+            "merge-cancel",
+        }
+        merges = sum(report.instances[s] for s in ("merge-void-left", "merge-void-right"))
+        assert len(report.mismatches) == merges + report.instances["merge-cancel"]
+        assert len(report.vacuous_violations) == report.vacuous_checked > 0
+        assert report.instances == wrong_root_rewrites.instances
+
+    def test_two_workers_merge_the_same_report(self, wrong_root_rewrites):
+        # lists, a Counter and counts merged together across every chunk
+        serial = confluence.root_coverage_sweep(6, workers=1).to_json()
+        pooled = confluence.root_coverage_sweep(6, workers=2).to_json()
+        assert len(_SerialPool.submitted) == 2 * CHUNKS_PER_WORKER
+        assert pooled == serial
+        assert serial["mismatches"] and serial["vacuousViolations"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_check_fails(self, wrong_root_rewrites, monkeypatch, capsys, workers):
+        monkeypatch.setenv("KO7_WORKERS", workers)
+        assert main(["check", "coverage", "--max-size", "6"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("FAIL\n")
+        assert "target mismatches: 0" not in out
