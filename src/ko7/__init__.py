@@ -51,7 +51,6 @@ from .nogo import (
     lpo_greater,
     poly_search,
     render_value,
-    search_precedence,
     tree_depth,
 )
 from .normalize import (
@@ -100,7 +99,6 @@ from .terms import (
     term_from_json,
     term_to_json,
     terms_of_size,
-    void,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

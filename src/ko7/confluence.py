@@ -68,40 +68,37 @@ def _reconstruct(parents: dict, term: Term) -> tuple[StepWitness, ...]:
 
 def joinable(u: Term, v: Term, relation: RelationKind, budget: int) -> JoinResult:
     """Bidirectional breadth-first search for a common reduct of u and v,
-    expanding at most `budget` terms per side."""
-    sides = [
-        {"parents": {u: None}, "queue": deque([u]), "expanded": 0},
-        {"parents": {v: None}, "queue": deque([v]), "expanded": 0},
-    ]
-
-    def meeting(term: Term) -> JoinResult:
-        used = sides[0]["expanded"] + sides[1]["expanded"]
-        return JoinResult(
-            True,
-            term,
-            _reconstruct(sides[0]["parents"], term),
-            _reconstruct(sides[1]["parents"], term),
-            used,
-        )
-
-    if u in sides[1]["parents"]:
-        return meeting(u)
-
-    while any(side["queue"] and side["expanded"] < budget for side in sides):
-        for me, other in ((sides[0], sides[1]), (sides[1], sides[0])):
-            if not me["queue"] or me["expanded"] >= budget:
+    expanding at most `budget` terms per side.  Side 0 searches from u and
+    side 1 from v; each round expands one term on each side that can."""
+    parents = ({u: None}, {v: None})
+    queues = (deque([u]), deque([v]))
+    expanded = [0, 0]
+    common = u if u == v else None
+    while common is None and any(queues[s] and expanded[s] < budget for s in (0, 1)):
+        for me in (0, 1):
+            queue = queues[me]
+            if common is not None or not queue or expanded[me] >= budget:
                 continue
-            current = me["queue"].popleft()
-            me["expanded"] += 1
+            current = queue.popleft()
+            expanded[me] += 1
+            mine, other = parents[me], parents[1 - me]
             for w in steps(current, relation):
-                if w.result in me["parents"]:
+                if w.result in mine:
                     continue
-                me["parents"][w.result] = (current, w)
-                if w.result in other["parents"]:
-                    return meeting(w.result)
-                me["queue"].append(w.result)
-    used = sides[0]["expanded"] + sides[1]["expanded"]
-    return JoinResult(False, None, (), (), used, not (sides[0]["queue"] or sides[1]["queue"]))
+                mine[w.result] = (current, w)
+                if w.result in other:
+                    common = w.result
+                    break
+                queue.append(w.result)
+    joined = common is not None
+    return JoinResult(
+        joined,
+        common,
+        _reconstruct(parents[0], common) if joined else (),
+        _reconstruct(parents[1], common) if joined else (),
+        expanded[0] + expanded[1],
+        not (joined or queues[0] or queues[1]),
+    )
 
 
 @dataclass
@@ -356,8 +353,12 @@ class CoverageReport:
 
 def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
     report = CoverageReport(max_size)
-    pool = enumerate_terms(max_size, lo, hi)
-    for t in pool:
+    for t in enumerate_terms(max_size, lo, hi):
+        if t.rec_taus:  # kappa_m(t) is nonempty
+            report.vacuous_checked += 1
+            blocked = eqw(t, t)
+            if _root_rewrites(blocked, True):
+                report.vacuous_violations.append(blocked)
         rows = _shape_targets(t)
         if not rows:
             continue
@@ -368,12 +369,6 @@ def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
             report.instances[shape] += 1
             if any(result != target for _, result in rewrites):
                 report.mismatches.append((shape, t))
-    for a in pool:
-        if a.rec_taus:  # kappa_m(a) is nonempty
-            report.vacuous_checked += 1
-            blocked = eqw(a, a)
-            if _root_rewrites(blocked, True):
-                report.vacuous_violations.append(blocked)
     return report
 
 

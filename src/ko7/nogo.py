@@ -463,15 +463,6 @@ def _orienting_orders(
         yield order, orients
 
 
-def search_precedence(max_size: int = 5) -> Optional[Precedence]:
-    """First total precedence under which LPO orients every rule instance
-    up to max_size, scanning all orders of the seven constructors."""
-    for order, orients in _orienting_orders(_rule_instances(max_size)):
-        if orients:
-            return {kind: rank for rank, kind in enumerate(order)}
-    return None
-
-
 @dataclass(frozen=True)
 class LpoReport:
     """The external-boundary demonstration: full LPO (with its universal

@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .terms import Position, Term, VOID, app, integrate, merge, rec, replace_at, term_to_json
+from .terms import Position, Term, VOID, _node, replace_at, term_to_json
 
 
 class RuleId(enum.Enum):
@@ -96,7 +96,8 @@ def _root_rewrites(t: Term, safe: bool) -> list[tuple[RuleId, Term]]:
         if arg == VOID and (not safe or delta_flag(base) == 0):
             out.append((RuleId.REC_ZERO, base))
         elif arg.kind == "delta":
-            out.append((RuleId.REC_SUCC, app(step, rec(base, step, arg.children[0]))))
+            inner = _node("rec", (base, step, arg.children[0]))
+            out.append((RuleId.REC_SUCC, _node("app", (step, inner))))
     elif t.kind == "integrate":
         if t.children[0].kind == "delta":
             out.append((RuleId.INT_DELTA, VOID))
@@ -106,7 +107,8 @@ def _root_rewrites(t: Term, safe: bool) -> list[tuple[RuleId, Term]]:
         if same and (not safe or not left.rec_taus):
             out.append((RuleId.EQ_REFL, VOID))
         if not (same and safe):
-            out.append((RuleId.EQ_DIFF, integrate(merge(left, right))))
+            both = _node("merge", (left, right))
+            out.append((RuleId.EQ_DIFF, _node("integrate", (both,))))
     return out
 
 

@@ -62,6 +62,8 @@ _new = object.__new__
 
 class Term:
     """One node of the object language; immutable, equality is structural.
+    `Term(kind, children)` raises TermError unless `kind` is a constructor
+    and `children` is a tuple of exactly its arity in `Term`s.
 
     Besides `kind` and `children`, a node caches four facts about itself in
     its slots, each computed on first use from its children's cached values
@@ -76,6 +78,11 @@ class Term:
     __slots__ = ("kind", "children", "_hash", "_size", "_tau", "_rec_taus")
 
     def __init__(self, kind: str, children: tuple["Term", ...] = ()):
+        if not isinstance(children, tuple):
+            raise TermError(f"children must be a tuple, got {type(children).__name__}")
+        for c in children:
+            if not isinstance(c, Term):
+                raise TermError(f"a child must be a Term, got {type(c).__name__}")
         if ARITY.get(kind) != len(children):
             if kind not in ARITY:
                 raise TermError(f"unknown constructor {kind!r}")
@@ -157,9 +164,10 @@ class Term:
 
 
 def _node(kind: str, children: tuple[Term, ...]) -> Term:
-    """A node whose kind and arity are known to be valid, built without
-    `Term.__init__`'s check: for the enumeration and `replace_at`, which
-    copy them from valid nodes, and for `parse`, which checks them itself."""
+    """A node whose kind, arity and children are known to be valid, built
+    without `Term.__init__`'s checks: for the enumeration and `replace_at`,
+    which copy them from valid nodes, for `parse`, which checks them itself,
+    and for the right-hand sides of the root rules."""
     t = _new(Term)
     _set(t, "kind", kind)
     _set(t, "children", children)
@@ -187,10 +195,6 @@ def _collector_paused() -> Iterator[None]:
 
 
 VOID = Term("void")
-
-
-def void() -> Term:
-    return VOID
 
 
 def delta(child: Term) -> Term:
@@ -447,4 +451,11 @@ def term_to_json(t: Term) -> dict:
 
 
 def term_from_json(obj: dict) -> Term:
-    return Term(obj["k"], tuple(term_from_json(c) for c in obj.get("c", ())))
+    """Inverse of term_to_json: {"k": constructor, "c": [term, ...]}, with
+    "c" optional for void.  Any other shape raises TermError."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("k"), str)):
+        raise TermError(f"a JSON term is an object with a string 'k', got {obj!r:.60}")
+    children = obj.get("c", [])
+    if not isinstance(children, list):
+        raise TermError(f"the 'c' of a JSON term is a list, got {children!r:.60}")
+    return Term(obj["k"], tuple(term_from_json(c) for c in children))

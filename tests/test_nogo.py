@@ -23,7 +23,6 @@ from ko7.nogo import (
     orients_all,
     poly_search,
     render_value,
-    search_precedence,
     tree_depth,
 )
 from ko7.measure import Measure3
@@ -343,8 +342,9 @@ class TestLpo:
                 assert lpo_greater(w.source, w.result, prec)
 
     def test_search_finds_a_precedence(self):
-        prec = search_precedence(max_size=4)
-        assert prec is not None
+        order = lpo_boundary_report(max_size=4).precedence
+        assert order
+        prec = {kind: rank for rank, kind in enumerate(order)}
         for t in enumerate_terms(4):
             for w in root_steps_full(t):
                 assert lpo_greater(w.source, w.result, prec)

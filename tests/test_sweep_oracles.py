@@ -1,7 +1,10 @@
 """The unique-nf and local-join sweeps decide each term from its root
 rewrites and its children, and the decrease sweep builds a witness only for
 a violation.  These tests hold them to the plain sweeps that search every
-term and every fork, kept here as reference oracles."""
+term and every fork, kept here as reference oracles, and hold the join
+search to the per-side-dict search it replaced."""
+
+from collections import deque
 
 import pytest
 
@@ -19,7 +22,7 @@ from ko7.confluence import (
     unique_nf_sweep,
 )
 from ko7.normalize import normalize_safe
-from ko7.rewrite import RelationKind, ctx_steps_safe, root_steps_safe
+from ko7.rewrite import RelationKind, ctx_steps_safe, root_steps_safe, steps
 from ko7.terms import VOID, count_terms, enumerate_terms, eqw
 
 
@@ -48,6 +51,53 @@ def local_join_oracle(max_size: int, relation: RelationKind, budget: int) -> Swe
             else:
                 report.inconclusive.append(fork)
     return report
+
+
+def _reconstruct_oracle(parents: dict, term):
+    path = []
+    while parents[term] is not None:
+        prev, witness = parents[term]
+        path.append(witness)
+        term = prev
+    return tuple(reversed(path))
+
+
+def joinable_oracle(u, v, relation: RelationKind, budget: int) -> JoinResult:
+    """The join search with each side kept as a dict, left through a
+    closure at the meeting term."""
+    sides = [
+        {"parents": {u: None}, "queue": deque([u]), "expanded": 0},
+        {"parents": {v: None}, "queue": deque([v]), "expanded": 0},
+    ]
+
+    def meeting(term) -> JoinResult:
+        used = sides[0]["expanded"] + sides[1]["expanded"]
+        return JoinResult(
+            True,
+            term,
+            _reconstruct_oracle(sides[0]["parents"], term),
+            _reconstruct_oracle(sides[1]["parents"], term),
+            used,
+        )
+
+    if u in sides[1]["parents"]:
+        return meeting(u)
+
+    while any(side["queue"] and side["expanded"] < budget for side in sides):
+        for me, other in ((sides[0], sides[1]), (sides[1], sides[0])):
+            if not me["queue"] or me["expanded"] >= budget:
+                continue
+            current = me["queue"].popleft()
+            me["expanded"] += 1
+            for w in steps(current, relation):
+                if w.result in me["parents"]:
+                    continue
+                me["parents"][w.result] = (current, w)
+                if w.result in other["parents"]:
+                    return meeting(w.result)
+                me["queue"].append(w.result)
+    used = sides[0]["expanded"] + sides[1]["expanded"]
+    return JoinResult(False, None, (), (), used, not (sides[0]["queue"] or sides[1]["queue"]))
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +146,34 @@ def test_local_join_matches_every_fork_search(relation, budget):
         want = local_join_oracle(max_size, relation, budget).to_json()
         for workers in (1, 2):
             assert local_join_sweep(max_size, relation, budget, workers).to_json() == want
+
+
+def _same_join(u, v, relation: RelationKind, budget: int) -> bool:
+    want = joinable_oracle(u, v, relation, budget)
+    got = joinable(u, v, relation, budget)
+    return got == want  # a dataclass ==: every field, exhausted included
+
+
+@pytest.mark.parametrize("budget", range(4))
+@pytest.mark.parametrize("relation", [RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX])
+def test_join_search_matches_the_oracle_on_every_fork(relation, budget):
+    searched = 0
+    for t in enumerate_terms(7):
+        for fork in forks(t, relation):
+            u, v = fork.left.result, fork.right.result
+            assert _same_join(u, v, relation, budget), fork
+            assert _same_join(v, u, relation, budget), fork
+            searched += 1
+    assert searched
+
+
+@pytest.mark.parametrize("budget", range(4))
+def test_join_search_matches_the_oracle_on_the_non_join_reducts(budget):
+    by_rule = {w.rule.value: w.result for w in steps(eqw(VOID, VOID), RelationKind.FULL_ROOT)}
+    refl, diff = by_rule["eq_refl"], by_rule["eq_diff"]
+    assert _same_join(refl, diff, RelationKind.FULL_CTX, budget)
+    assert _same_join(diff, refl, RelationKind.FULL_CTX, budget)
+    assert _same_join(diff, diff, RelationKind.FULL_CTX, budget)
 
 
 @pytest.mark.parametrize("max_size", [3, 6])

@@ -13,6 +13,7 @@ from ko7.terms import (
     InvalidPositionError,
     ParseError,
     Term,
+    TermError,
     VOID,
     app,
     count_terms,
@@ -572,9 +573,42 @@ class TestJson:
     def test_roundtrip(self, t):
         assert term_from_json(term_to_json(t)) == t
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            "x",
+            None,
+            {"k": "delta", "c": "ab"},
+            {"k": "delta", "c": [5]},
+            {"k": ["void"]},
+            {"k": "delta", "c": [{"k": "nonsense"}]},
+            {"k": "merge", "c": [{"k": "void"}]},
+        ],
+    )
+    def test_malformed_input_is_a_term_error(self, obj):
+        with pytest.raises(TermError):
+            term_from_json(obj)
+
 
 def test_term_arity_validated():
     with pytest.raises(Exception):
         Term("delta", ())
     with pytest.raises(Exception):
         Term("nonsense", ())
+
+
+@pytest.mark.parametrize(
+    "kind, children",
+    [("delta", [VOID]), ("merge", ("x", VOID)), ("delta", (None,)), ("void", [])],
+)
+def test_term_rejects_children_it_cannot_hold(kind, children):
+    # a list would leave the node unhashable and growable; a non-term child
+    # would break its size
+    with pytest.raises(TermError):
+        Term(kind, children)
+
+
+def test_helpers_build_the_checked_node():
+    assert delta(VOID) == Term("delta", (VOID,))
+    assert rec(VOID, VOID, delta(VOID)) == Term("rec", (VOID, VOID, Term("delta", (VOID,))))
