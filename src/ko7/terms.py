@@ -65,14 +65,16 @@ class Term:
     `Term(kind, children)` raises TermError unless `kind` is a constructor
     and `children` is a tuple of exactly its arity in `Term`s.
 
-    Besides `kind` and `children`, a node caches four facts about itself in
-    its slots, each computed on first use from its children's cached values
-    and never again: its hash, its `size`, its `tau` (the weighted node
-    count of `ko7.measure`: eqw weighs 3, every other constructor 1) and
-    `rec_taus`, the tau of every rec-rooted subterm occurrence in pre-order
-    (the elements of kappa_m).  Nothing is computed at construction: most
-    nodes built by `replace_at` or by the no-go searches are never hashed
-    or measured.
+    `==` compares identity first, then `kind` and `children`, and never
+    computes a hash; a node's hash is computed only when it is a dict or
+    set key.  Besides `kind` and `children`, a node caches four facts about
+    itself in its slots, each computed on first use from its children's
+    cached values and never again: its hash, its `size`, its `tau` (the
+    weighted node count of `ko7.measure`: eqw weighs 3, every other
+    constructor 1) and `rec_taus`, the tau of every rec-rooted subterm
+    occurrence in pre-order (the elements of kappa_m).  Nothing is computed
+    at construction: most nodes built by `replace_at` or by the no-go
+    searches are never hashed or measured.
     """
 
     __slots__ = ("kind", "children", "_hash", "_size", "_tau", "_rec_taus")
@@ -83,10 +85,11 @@ class Term:
         for c in children:
             if not isinstance(c, Term):
                 raise TermError(f"a child must be a Term, got {type(c).__name__}")
-        if ARITY.get(kind) != len(children):
-            if kind not in ARITY:
+        arity = ARITY.get(kind) if isinstance(kind, str) else None
+        if arity != len(children):
+            if arity is None:
                 raise TermError(f"unknown constructor {kind!r}")
-            raise TermError(f"{kind} takes {ARITY[kind]} children, got {len(children)}")
+            raise TermError(f"{kind} takes {arity} children, got {len(children)}")
         _set(self, "kind", kind)
         _set(self, "children", children)
 
@@ -115,11 +118,7 @@ class Term:
             return True
         if other.__class__ is not Term:
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and hash(self) == hash(other)
-            and self.children == other.children
-        )
+        return self.kind == other.kind and self.children == other.children
 
     def _fill(self) -> None:
         """Cache size, tau and rec_taus from the children's cached values."""

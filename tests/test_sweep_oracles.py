@@ -23,7 +23,7 @@ from ko7.confluence import (
 )
 from ko7.normalize import normalize_safe
 from ko7.rewrite import RelationKind, ctx_steps_safe, root_steps_safe, steps
-from ko7.terms import VOID, count_terms, enumerate_terms, eqw
+from ko7.terms import VOID, Term, count_terms, enumerate_terms, eqw
 
 
 def unique_nf_oracle(max_size: int) -> UniqueNFReport:
@@ -211,3 +211,24 @@ def test_decrease_violations_are_the_root_witnesses(monkeypatch, max_size):
     assert report.violations == want
     assert report.checked == len(want)
     assert not report.decided_by and not report.by_rule
+
+
+@pytest.mark.parametrize(
+    "chunk", [measure._decrease_chunk, confluence._unique_nf_chunk, confluence._coverage_chunk]
+)
+def test_structural_sweeps_hash_no_term(monkeypatch, chunk):
+    # they compare terms by structure and key nothing by a term, so no
+    # term's hash is ever computed or read; local-join is not pinned, since
+    # its join search keys its parent links by term
+    calls = []
+    unwrapped = Term.__hash__
+
+    def counted(t):
+        calls.append(t)
+        return unwrapped(t)
+
+    monkeypatch.setattr(Term, "__hash__", counted)
+    assert hash(VOID) == unwrapped(VOID) and len(calls) == 1
+    calls.clear()
+    chunk(7, 0, count_terms(7))
+    assert calls == []

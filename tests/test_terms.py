@@ -141,6 +141,15 @@ class _Hashed:
         return self.value
 
 
+def reference_equal(a: Term, b: Term) -> bool:
+    """Reference oracle: the plain recursive structural equality."""
+    return (
+        a.kind == b.kind
+        and len(a.children) == len(b.children)
+        and all(reference_equal(x, y) for x, y in zip(a.children, b.children))
+    )
+
+
 def reference_hash(t: Term) -> int:
     """Reference oracle: hash((kind, children)), the frozen dataclass's
     hash, with every child's hash recomputed recursively instead of read
@@ -303,6 +312,30 @@ class TestCachedFacts:
         for a, b in itertools.product(pool[:60], pool[:60]):
             assert (a == b) == (render(a) == render(b))
         assert VOID != "void" and VOID != ("void", ())
+
+    def test_equality_matches_reference(self):
+        # every pair up to size 5, and each term against a fresh copy that
+        # shares no node with the enumeration
+        pool = enumerate_terms(5)
+        copies = [term_from_json(term_to_json(t)) for t in pool]
+        for a in pool:
+            for b, fresh in zip(pool, copies):
+                want = reference_equal(a, b)
+                assert (a == b) is want and (a != b) is not want
+                assert (a == fresh) is want and (a != fresh) is not want
+                assert (fresh == a) is want
+                if want:
+                    assert hash(a) == hash(b) == hash(fresh)
+
+    def test_equality_computes_no_hash(self):
+        text = "(merge (delta void) (rec void void void))"
+        a, b = parse(text), parse(text)
+        assert a == b and not a != b
+        assert a != parse("(merge (delta void) (rec void void (delta void)))")
+        for t in (a, b):
+            for node in subterms(t):
+                if node is not VOID:
+                    assert not hasattr(node, "_hash"), render(node)
 
     def test_immutable(self):
         t = merge(VOID, VOID)
@@ -607,6 +640,15 @@ def test_term_rejects_children_it_cannot_hold(kind, children):
     # would break its size
     with pytest.raises(TermError):
         Term(kind, children)
+
+
+@pytest.mark.parametrize("kind", [["void"], {}, 3, None])
+def test_term_rejects_a_kind_that_is_not_a_name(kind):
+    # an unhashable kind must not escape as a TypeError from the arity lookup
+    with pytest.raises(TermError, match="unknown constructor"):
+        Term(kind)
+    with pytest.raises(TermError, match="unknown constructor"):
+        Term(kind, (VOID,))
 
 
 def test_helpers_build_the_checked_node():
