@@ -5,28 +5,32 @@ verdicts, 1 for check violations or exhausted fuel, 2 for usage, parse or
 output errors (a negative fuel or budget, or a term nested too deeply to
 process, is a usage error; a closed stdout is an output error).  `--json`
 switches any subcommand to its documented JSON form.
+
+Each handler imports the modules it calls, and `json` is imported only
+under `--json`: every command is a fresh process, which would otherwise
+compile and run modules that it never calls.  Only `terms` is imported
+here, for `main`'s `TermError`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable
 
-from . import confluence, measure, nogo, normalize, rewrite, terms
-from .workers import resolve_workers
+from . import terms
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# --relation value -> name of its `rewrite.RelationKind` member
 _RELATIONS = {
-    "safe": rewrite.RelationKind.SAFE_ROOT,
-    "full": rewrite.RelationKind.FULL_ROOT,
-    "safe-ctx": rewrite.RelationKind.SAFE_CTX,
-    "full-ctx": rewrite.RelationKind.FULL_CTX,
+    "safe": "SAFE_ROOT",
+    "full": "FULL_ROOT",
+    "safe-ctx": "SAFE_CTX",
+    "full-ctx": "FULL_CTX",
 }
 
 
@@ -38,6 +42,8 @@ def _emit(args, payload: Callable[[], dict], text: str) -> None:
     """Print `text`, or under --json the JSON of `payload()`.  The payload is
     built only under --json: a full run's holds every step's two terms."""
     if args.json:
+        import json
+
         print(json.dumps(payload(), sort_keys=True))
     else:
         print(text)
@@ -73,7 +79,9 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_step(args) -> int:
-    relation = _RELATIONS[args.relation]
+    from . import rewrite
+
+    relation = rewrite.RelationKind[_RELATIONS[args.relation]]
     for t in _read_terms(args):
         witnesses = rewrite.steps(t, relation)
         lines = [_witness_line(w) for w in witnesses] or ["(no steps)"]
@@ -82,6 +90,9 @@ def _cmd_step(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from . import normalize
+
+    fuel = normalize.DEFAULT_FUEL if args.fuel is None else args.fuel
     status = EXIT_OK
     for t in _read_terms(args):
         if args.relation == "safe":
@@ -94,7 +105,7 @@ def _cmd_normalize(args) -> int:
             lines.append(terms.render(trace.final_term))
             _emit(args, trace.to_json, "\n".join(lines))
         else:
-            run = normalize.normalize_full(t, args.fuel)
+            run = normalize.normalize_full(t, fuel)
             lines = [_witness_line(w) for w in run.steps] if args.trace else []
             if run.normalized:
                 lines.append(terms.render(run.term))
@@ -108,6 +119,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from . import measure
+
     for t in _read_terms(args):
         m = measure.measure3(t)
         text = f"dflag: {m.dflag}\nkappaM: {m._kappa_text()}\ntau: {m.tau}"
@@ -116,6 +129,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_reaches(args) -> int:
+    from . import normalize
+
     t = terms.parse(args.term)
     target = terms.parse(args.target)
     verdict = normalize.reaches_target(t, target)
@@ -124,6 +139,8 @@ def _cmd_reaches(args) -> int:
 
 
 def _cmd_witness_nonjoin(args) -> int:
+    from . import confluence
+
     try:
         witness = confluence.non_join_witness(budget=args.budget, fuel=args.fuel)
     except confluence.FuelExhaustedError as err:
@@ -142,7 +159,9 @@ def _cmd_witness_nonjoin(args) -> int:
 
 
 def _cmd_check_decrease(args) -> int:
-    report = measure.decrease_sweep(args.max_size, workers=resolve_workers())
+    from . import measure, workers
+
+    report = measure.decrease_sweep(args.max_size, workers=workers.resolve_workers())
     d = report.decided_by
     lines = [
         f"checked: {report.checked} guarded root instances (size <= {args.max_size})",
@@ -156,9 +175,11 @@ def _cmd_check_decrease(args) -> int:
 
 
 def _cmd_check_local_join(args) -> int:
-    relation = _RELATIONS[args.relation]
+    from . import confluence, rewrite, workers
+
+    relation = rewrite.RelationKind[_RELATIONS[args.relation]]
     report = confluence.local_join_sweep(
-        args.max_size, relation, args.budget, workers=resolve_workers()
+        args.max_size, relation, args.budget, workers=workers.resolve_workers()
     )
     lines = [
         f"relation: {report.relation}",
@@ -171,7 +192,9 @@ def _cmd_check_local_join(args) -> int:
 
 
 def _cmd_check_unique_nf(args) -> int:
-    report = confluence.unique_nf_sweep(args.max_size, workers=resolve_workers())
+    from . import confluence, workers
+
+    report = confluence.unique_nf_sweep(args.max_size, workers=workers.resolve_workers())
     lines = [
         f"terms checked: {report.terms_checked} (size <= {args.max_size})",
         f"violations: {len(report.violations)}",
@@ -180,7 +203,9 @@ def _cmd_check_unique_nf(args) -> int:
 
 
 def _cmd_check_coverage(args) -> int:
-    report = confluence.root_coverage_sweep(args.max_size, workers=resolve_workers())
+    from . import confluence, workers
+
+    report = confluence.root_coverage_sweep(args.max_size, workers=workers.resolve_workers())
     instances = report.to_json()["instances"]
     lines = [f"{shape}: {count} instance(s)" for shape, count in instances.items()]
     lines.append(f"target mismatches: {len(report.mismatches)}")
@@ -192,6 +217,8 @@ def _cmd_check_coverage(args) -> int:
 
 
 def _format_counterexample(report: nogo.CounterexampleReport) -> str:
+    from . import nogo
+
     w = report.witness
     before = nogo.render_value(report.value_before)
     after = nogo.render_value(report.value_after)
@@ -202,6 +229,8 @@ def _format_counterexample(report: nogo.CounterexampleReport) -> str:
 
 
 def _check_one_family(args, family: nogo.MeasureFamily) -> int:
+    from . import nogo
+
     hunt = nogo.find_violation(family, max_size=args.max_size)
     if hunt.found:
         lines = [
@@ -215,6 +244,8 @@ def _check_one_family(args, family: nogo.MeasureFamily) -> int:
 
 
 def _cmd_check_nogo(args) -> int:
+    from . import nogo, rewrite
+
     if args.family:
         try:
             family = nogo.catalog_family(args.family)
@@ -249,6 +280,8 @@ def _cmd_check_nogo(args) -> int:
 
 
 def _cmd_check_lpo(args) -> int:
+    from . import nogo
+
     report = nogo.lpo_boundary_report(max_size=args.max_size)
     lines = [
         f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
@@ -264,6 +297,8 @@ def _cmd_check_lpo(args) -> int:
 
 
 def _cmd_check_stress(args) -> int:
+    from . import nogo
+
     report = nogo.duplication_stress(args.max_size)
     lines = [
         f"rec_succ instances: {report.instances} (size <= {args.max_size})",
@@ -322,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_term_argument(p)
     p.add_argument("--relation", choices=["safe", "full"], default="safe")
     p.add_argument("--trace", action="store_true", help="print each step")
-    p.add_argument("--fuel", type=_non_negative_int, default=normalize.DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_non_negative_int, default=None)
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("measure", help="print the termination measure")

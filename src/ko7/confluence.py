@@ -157,22 +157,20 @@ def _local_join_chunk(
     a context, and the sweep checks the child itself; steps in different
     children commute in one step each, as a guard reads only its own redex.
     The root witnesses come first in pre-order, so they are the first
-    `roots` of steps(t, relation)."""
+    `roots` of steps(t, relation); with `lift` they are built only for a
+    term that has a root step and a fork."""
     report = SweepReport(relation.value, max_size)
     ctx = relation is RelationKind.SAFE_CTX
     for t in enumerate_terms(max_size, lo, hi):
-        roots = len(_root_rewrites(t, True))
-        if lift and not roots:
-            witnesses = ()
-            count = _ctx_witness_count(t) if ctx else 0
+        if lift:
+            roots = len(_root_rewrites(t, True))
+            count = _ctx_witness_count(t) if ctx else roots
+            witnesses = steps(t, relation) if roots and count > 1 else []
         else:
             witnesses = steps(t, relation)
-            count = len(witnesses)
-            if not lift:
-                roots = count
+            roots = count = len(witnesses)
         report.forks_checked += count * (count - 1) // 2
-        for i in range(roots):
-            left = witnesses[i]
+        for i, left in enumerate(witnesses[:roots]):
             for right in witnesses[i + 1 :]:
                 if joinable(left.result, right.result, relation, budget).joined:
                     continue

@@ -17,7 +17,7 @@ import re
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 # Constructor order is fixed: it determines enumeration order and is part of
 # the reproducibility contract of every sweep report.
@@ -446,15 +446,73 @@ def count_terms(max_size: int) -> int:
 
 
 def term_to_json(t: Term) -> dict:
-    return {"k": t.kind, "c": [term_to_json(c) for c in t.children]}
+    """{"k": constructor, "c": [children]}, every node its own dict.  The
+    nodes wait on an explicit stack, so any depth converts."""
+    root = {"k": t.kind, "c": []}
+    stack = [(t, root["c"])]
+    while stack:
+        node, kids = stack.pop()
+        for c in node.children:
+            d = {"k": c.kind, "c": []}
+            kids.append(d)
+            if c.children:
+                stack.append((c, d["c"]))
+    return root
 
 
-def term_from_json(obj: dict) -> Term:
-    """Inverse of term_to_json: {"k": constructor, "c": [term, ...]}, with
-    "c" optional for void.  Any other shape raises TermError."""
+def _shared_term_to_json() -> Callable[[Term], dict]:
+    """A term_to_json that converts each node object once over all its
+    calls: a node it has met before, in this term or an earlier one,
+    yields the same dict again.  The dicts are keyed by node identity, so
+    every term it converted must stay alive while it is in use."""
+    memo: dict[int, dict] = {}
+
+    def convert(t: Term) -> dict:
+        root = memo.get(id(t))
+        if root is None:
+            root = memo[id(t)] = {"k": t.kind, "c": []}
+            stack = [t]
+            while stack:
+                node = stack.pop()
+                kids = memo[id(node)]["c"]
+                for c in node.children:
+                    d = memo.get(id(c))
+                    if d is None:
+                        d = memo[id(c)] = {"k": c.kind, "c": []}
+                        if c.children:
+                            stack.append(c)
+                    kids.append(d)
+        return root
+
+    return convert
+
+
+def _json_frame(obj) -> tuple[str, list, list[Term]]:
+    """(kind, JSON children, children built so far) for one JSON term;
+    TermError when `obj` is not shaped like one."""
     if not (isinstance(obj, dict) and isinstance(obj.get("k"), str)):
         raise TermError(f"a JSON term is an object with a string 'k', got {obj!r:.60}")
     children = obj.get("c", [])
     if not isinstance(children, list):
         raise TermError(f"the 'c' of a JSON term is a list, got {children!r:.60}")
-    return Term(obj["k"], tuple(term_from_json(c) for c in children))
+    return obj["k"], children, []
+
+
+def term_from_json(obj: dict) -> Term:
+    """Inverse of term_to_json: {"k": constructor, "c": [term, ...]}, with
+    "c" optional for void.  Any other shape raises TermError.  `obj` is a
+    tree, as `json.loads` returns; its open nodes wait on an explicit
+    stack, so any depth converts.  Children are converted left to right
+    before their parent is checked, so the first error is the one a
+    depth-first reading meets first."""
+    stack = [_json_frame(obj)]
+    while True:
+        kind, pending, built = stack[-1]
+        if len(built) < len(pending):
+            stack.append(_json_frame(pending[len(built)]))
+            continue
+        stack.pop()
+        node = Term(kind, tuple(built))
+        if not stack:
+            return node
+        stack[-1][2].append(node)

@@ -50,9 +50,9 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
     run on a process pool and submitted last slice first.  Each slice runs
     with the cyclic collector paused (`terms._collector_paused`: the terms
     it builds form no cycles), and the collector is then put back as it
-    was.  The pool module is imported only here: it is a sizable share of
-    the package's import time, which every command pays and few commands
-    need.
+    was.  The pool module is imported only when a pool starts, by the
+    rule the CLI keeps too: each `ko7` command is a fresh process, and it
+    loads only the modules that it runs.
 
     A report is a dataclass, and the merge rule is one for all of them: a
     field with a default (a count, a Counter or a list) is summed with `+`

@@ -21,16 +21,18 @@ def test_one_command_per_family_matches_itself():
         first.setdefault(command.family, command)
     assert sorted(first) == [
         "check coverage", "check decrease", "check local-join", "check lpo", "check nogo",
-        "check stress", "check unique-nf", "measure", "normalize", "parse", "reaches", "step",
-        "witness nonjoin",
+        "check stress", "check unique-nf", "help", "measure", "normalize", "parse", "reaches",
+        "step", "usage", "witness nonjoin",
     ]
     assert tool.compare(SRC, SRC, first.values()) == []
 
 
 def test_the_matrix():
     matrix = list(tool.commands(8))
-    assert len(matrix) == len(set(matrix)) == 690
+    assert len(matrix) == len(set(matrix)) == 718
     assert sum(c.family == "check lpo" for c in matrix) == 12  # sizes 1..6, text and json
+    assert sum(c.family == "usage" for c in matrix) == 12  # six errors, text and json
+    assert sum(c.family == "help" for c in matrix) == 16  # ko7, 8 subcommands, 7 checks
     chains = [c for c in matrix if c.family == "parse" and "(delta " * 332 in c.argv[-1]]
     assert len(chains) == 2
 

@@ -148,6 +148,30 @@ def test_local_join_matches_every_fork_search(relation, budget):
             assert local_join_sweep(max_size, relation, budget, workers).to_json() == want
 
 
+@pytest.mark.parametrize("relation", [RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX])
+def test_local_join_builds_witnesses_only_for_a_root_fork(monkeypatch, relation):
+    # a term needs its witnesses only when a fork has a step at the root;
+    # every fork joins at once, so the join search builds none
+    built = []
+
+    def counted(t, rel):
+        built.append(t)
+        return steps(t, rel)
+
+    def joined(left, right, relation, budget):
+        return JoinResult(True, left, (), (), 0)
+
+    monkeypatch.setattr(confluence, "steps", counted)
+    monkeypatch.setattr(confluence, "joinable", joined)
+    report = local_join_sweep(7, relation, 200)
+    assert report.joined == report.forks_checked  # one pass, with `lift`
+    assert built == [
+        t
+        for t in enumerate_terms(7)
+        if root_steps_safe(t) and len(steps(t, relation)) > 1
+    ]
+
+
 def _same_join(u, v, relation: RelationKind, budget: int) -> bool:
     want = joinable_oracle(u, v, relation, budget)
     got = joinable(u, v, relation, budget)

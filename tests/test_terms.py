@@ -15,6 +15,7 @@ from ko7.terms import (
     Term,
     TermError,
     VOID,
+    _shared_term_to_json,
     app,
     count_terms,
     delta,
@@ -617,11 +618,72 @@ class TestJson:
             {"k": ["void"]},
             {"k": "delta", "c": [{"k": "nonsense"}]},
             {"k": "merge", "c": [{"k": "void"}]},
+            # two errors: the child's is met first
+            {"k": "nonsense", "c": [{"k": 5}]},
+            {"k": "merge", "c": [{"k": "void"}, {"k": "delta"}, {"k": "rec"}]},
         ],
     )
     def test_malformed_input_is_a_term_error(self, obj):
-        with pytest.raises(TermError):
+        with pytest.raises(TermError) as err:
             term_from_json(obj)
+        # the explicit stack meets the same first error as the recursion
+        with pytest.raises(TermError) as want:
+            reference_term_from_json(obj)
+        assert str(err.value) == str(want.value)
+
+    def test_matches_reference_on_enumerated_terms(self):
+        for t in enumerate_terms(6):
+            assert term_to_json(t) == reference_term_to_json(t)
+            assert term_from_json(reference_term_to_json(t)) == t
+
+    @given(random_terms)
+    def test_matches_reference_on_random_terms(self, t):
+        assert term_to_json(t) == reference_term_to_json(t)
+
+    def test_every_node_is_its_own_dict(self):
+        payload = term_to_json(merge(VOID, VOID))
+        assert payload["c"][0] is not payload["c"][1]
+
+    def test_any_depth_converts_both_ways(self):
+        depth = 100_000
+        chain = VOID
+        for _ in range(depth):
+            chain = delta(chain)
+        payload = term_to_json(rec(VOID, VOID, chain))
+        node = payload["c"][2]
+        for _ in range(depth):
+            assert node["k"] == "delta" and len(node["c"]) == 1
+            node = node["c"][0]
+        assert node == {"k": "void", "c": []}
+        # == and render recurse: walk the chain by a loop
+        t = term_from_json(payload).children[2]
+        for _ in range(depth):
+            assert t.kind == "delta"
+            t = t.children[0]
+        assert t == VOID
+
+    def test_shared_conversion_converts_each_node_once(self):
+        x = merge(VOID, delta(VOID))
+        t, u = merge(x, x), app(x, VOID)
+        convert = _shared_term_to_json()
+        a, b = convert(t), convert(u)
+        assert a == term_to_json(t) and b == term_to_json(u)
+        assert a["c"][0] is a["c"][1] is b["c"][0]
+        assert convert(t) is a
+
+
+def reference_term_to_json(t: Term) -> dict:
+    """The recursive definition, kept as the oracle of the explicit stack."""
+    return {"k": t.kind, "c": [reference_term_to_json(c) for c in t.children]}
+
+
+def reference_term_from_json(obj) -> Term:
+    if not (isinstance(obj, dict) and isinstance(obj.get("k"), str)):
+        raise TermError(f"a JSON term is an object with a string 'k', got {obj!r:.60}")
+    children = obj.get("c", [])
+    if not isinstance(children, list):
+        raise TermError(f"the 'c' of a JSON term is a list, got {children!r:.60}")
+    return Term(obj["k"], tuple(reference_term_from_json(c) for c in children))
 
 
 def test_term_arity_validated():

@@ -15,7 +15,10 @@ stdout and stderr are compared.  The matrix covers, in text and `--json`:
 - `witness nonjoin` at budgets 0, 1, 2 and 1000;
 - `parse`, `step` (every relation), `normalize` (safe; full with and
   without `--trace`), `measure` and `reaches` on a fixed list of terms:
-  small ones, a malformed one, and the delta-chains of depth 331 and 332.
+  small ones, a malformed one, and the delta-chains of depth 331 and 332;
+- usage errors: a negative `--fuel`, an unknown `--relation` or
+  `--family`, no subcommand, and `--file` naming a missing file;
+- `--help` of `ko7`, of every subcommand and of every check, once.
 
 Every command that differs is printed with the first line where it does;
 the exit status is 1 if any differs, else 0.
@@ -54,6 +57,19 @@ TERMS = (
     _chain(332),
 )
 TARGETS = ("void", "(delta void)")
+CHECKS = ("decrease", "local-join", "unique-nf", "coverage", "nogo", "lpo", "stress")
+USAGE_ERRORS = (
+    ("normalize", "void", "--fuel", "-1"),
+    ("step", "void", "--relation", "nope"),
+    ("check", "local-join", "--relation", "full"),
+    ("check", "nogo", "--family", "nope"),
+    (),
+    ("parse", "--file", "no-such-file"),
+)
+HELP = (
+    (), ("parse",), ("step",), ("normalize",), ("measure",), ("reaches",), ("witness",),
+    ("witness", "nonjoin"), ("check",), *(("check", name) for name in CHECKS),
+)
 
 
 class Command(NamedTuple):
@@ -103,6 +119,10 @@ def commands(max_size: int) -> Iterator[Command]:
             yield Command("measure", (*fmt, "measure", term), 1)
             for target in TARGETS:
                 yield Command("reaches", (*fmt, "reaches", term, target), 1)
+        for argv in USAGE_ERRORS:
+            yield Command("usage", (*fmt, *argv), 1)
+    for argv in HELP:
+        yield Command("help", (*argv, "--help"), 1)
 
 
 def run(src: Path, command: Command) -> Outcome:
