@@ -128,4 +128,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return list(__all__)
+    return sorted({*globals(), *__all__})

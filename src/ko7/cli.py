@@ -17,9 +17,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import terms
+
+if TYPE_CHECKING:
+    from . import nogo, rewrite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -216,31 +219,16 @@ def _cmd_check_coverage(args) -> int:
     return _emit_report(args, report, lines)
 
 
-def _format_counterexample(report: nogo.CounterexampleReport) -> str:
-    from . import nogo
-
+def _format_counterexample(
+    report: nogo.CounterexampleReport, render_value: Callable[[object], object]
+) -> str:
     w = report.witness
-    before = nogo.render_value(report.value_before)
-    after = nogo.render_value(report.value_after)
+    before = render_value(report.value_before)
+    after = render_value(report.value_after)
     return (
         f"{w.rule.value} on {terms.render(w.source)}: "
         f"{before} -> {after} ({report.verdict})"
     )
-
-
-def _check_one_family(args, family: nogo.MeasureFamily) -> int:
-    from . import nogo
-
-    hunt = nogo.find_violation(family, max_size=args.max_size)
-    if hunt.found:
-        lines = [
-            f"counterexample: {_format_counterexample(hunt.counterexample)}",
-            "PASS (counterexample found, as expected for this family)",
-        ]
-    else:
-        lines = [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
-    _emit(args, hunt.to_json, "\n".join([f"family: {family.name}", *lines]))
-    return EXIT_OK if hunt.found else EXIT_VIOLATION
 
 
 def _cmd_check_nogo(args) -> int:
@@ -253,7 +241,17 @@ def _cmd_check_nogo(args) -> int:
             names = ", ".join(f.name for f in nogo.catalog())
             print(f"error: unknown family {args.family!r} (one of: {names})", file=sys.stderr)
             return EXIT_USAGE
-        return _check_one_family(args, family)
+        hunt = nogo.find_violation(family, max_size=args.max_size)
+        if hunt.found:
+            found = _format_counterexample(hunt.counterexample, nogo.render_value)
+            lines = [
+                f"counterexample: {found}",
+                "PASS (counterexample found, as expected for this family)",
+            ]
+        else:
+            lines = [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
+        _emit(args, hunt.to_json, "\n".join([f"family: {family.name}", *lines]))
+        return EXIT_OK if hunt.found else EXIT_VIOLATION
 
     hunts = [nogo.find_violation(f, max_size=args.max_size) for f in nogo.catalog()]
     canonical = nogo.find_violation(
@@ -261,7 +259,8 @@ def _cmd_check_nogo(args) -> int:
     )
     ok = all(h.found for h in hunts) and not canonical.found
     lines = [
-        f"{h.family}: counterexample: {_format_counterexample(h.counterexample)}"
+        f"{h.family}: counterexample: "
+        f"{_format_counterexample(h.counterexample, nogo.render_value)}"
         if h.found
         else f"{h.family}: NO COUNTEREXAMPLE: -"
         for h in hunts
@@ -291,7 +290,7 @@ def _cmd_check_lpo(args) -> int:
     if report.rank_only.found:
         lines.append(
             "precedence rank alone: counterexample: "
-            f"{_format_counterexample(report.rank_only.counterexample)}"
+            f"{_format_counterexample(report.rank_only.counterexample, nogo.render_value)}"
         )
     return _emit_report(args, report, lines)
 

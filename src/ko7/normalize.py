@@ -14,7 +14,7 @@ from itertools import islice
 
 from .measure import Measure3, lex3_less, measure3
 from .rewrite import StepWitness, _full_steps, root_steps_safe
-from .terms import Term, TermError, _collector_paused, _shared_term_to_json, term_to_json
+from .terms import Term, TermError, _collector_paused, term_to_json
 
 DEFAULT_FUEL = 10_000
 
@@ -75,16 +75,10 @@ class FullRunResult:
         return len(self.steps)
 
     def to_json(self) -> dict:
-        """The run's JSON form, each node object converted once: a step's
-        result is the next step's source, and a step rebuilds only the
-        ancestors of its redex, so consecutive terms share all their other
-        subterms.  A shared subterm's dict is one object wherever it occurs
-        in the payload, and `json.dumps` writes it out in full each time."""
-        convert = _shared_term_to_json()
         return {
             "normalized": self.normalized,
-            "term": convert(self.term),
-            "steps": [w._to_json(convert) for w in self.steps],
+            "term": term_to_json(self.term),
+            "steps": [w.to_json() for w in self.steps],
         }
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .terms import Position, Term, VOID, _node, replace_at, term_to_json
 
@@ -68,15 +68,11 @@ class StepWitness:
     result: Term
 
     def to_json(self) -> dict:
-        return self._to_json(term_to_json)
-
-    def _to_json(self, convert: Callable[[Term], dict]) -> dict:
-        """to_json with each term converted by `convert`."""
         return {
             "rule": self.rule.value,
             "pos": list(self.position),
-            "from": convert(self.source),
-            "to": convert(self.result),
+            "from": term_to_json(self.source),
+            "to": term_to_json(self.result),
         }
 
 

@@ -17,7 +17,7 @@ import re
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 # Constructor order is fixed: it determines enumeration order and is part of
 # the reproducibility contract of every sweep report.
@@ -458,33 +458,6 @@ def term_to_json(t: Term) -> dict:
             if c.children:
                 stack.append((c, d["c"]))
     return root
-
-
-def _shared_term_to_json() -> Callable[[Term], dict]:
-    """A term_to_json that converts each node object once over all its
-    calls: a node it has met before, in this term or an earlier one,
-    yields the same dict again.  The dicts are keyed by node identity, so
-    every term it converted must stay alive while it is in use."""
-    memo: dict[int, dict] = {}
-
-    def convert(t: Term) -> dict:
-        root = memo.get(id(t))
-        if root is None:
-            root = memo[id(t)] = {"k": t.kind, "c": []}
-            stack = [t]
-            while stack:
-                node = stack.pop()
-                kids = memo[id(node)]["c"]
-                for c in node.children:
-                    d = memo.get(id(c))
-                    if d is None:
-                        d = memo[id(c)] = {"k": c.kind, "c": []}
-                        if c.children:
-                            stack.append(c)
-                    kids.append(d)
-        return root
-
-    return convert
 
 
 def _json_frame(obj) -> tuple[str, list, list[Term]]:

@@ -1,5 +1,4 @@
 import gc
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +25,6 @@ from ko7.terms import (
     integrate,
     merge,
     rec,
-    term_to_json,
 )
 
 
@@ -217,34 +215,6 @@ class TestNormalizeFull:
             run = normalize_full(t, fuel=fuel)
             assert not run.normalized
             assert run.to_json() == reference_normalize_full(t, fuel).to_json()
-
-    @pytest.mark.parametrize("fuel", [0, 5, 10_000])
-    def test_json_matches_a_conversion_per_term(self, fuel):
-        for t in [delta_chain(300), merge(delta_chain(20), eqw(VOID, delta(VOID)))]:
-            run = normalize_full(t, fuel)
-            want = {
-                "normalized": run.normalized,
-                "term": term_to_json(run.term),
-                "steps": [w.to_json() for w in run.steps],
-            }
-            assert json.dumps(run.to_json(), sort_keys=True) == json.dumps(want, sort_keys=True)
-
-    def test_json_converts_each_node_once(self):
-        run = normalize_full(delta_chain(50))
-        payload = run.to_json()
-        steps = payload["steps"]
-        assert all(a["to"] is b["from"] for a, b in zip(steps, steps[1:]))
-        assert steps[-1]["to"] is payload["term"]
-        nodes, dicts = set(), set()
-        for w, d in zip(run.steps, steps):
-            for t, j in ((w.source, d["from"]), (w.result, d["to"])):
-                stack = [(t, j)]
-                while stack:
-                    node, obj = stack.pop()
-                    nodes.add(id(node))
-                    dicts.add(id(obj))
-                    stack.extend(zip(node.children, obj["c"]))
-        assert len(dicts) == len(nodes)
 
 
 class _WalkFailed(Exception):

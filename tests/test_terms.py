@@ -15,7 +15,6 @@ from ko7.terms import (
     Term,
     TermError,
     VOID,
-    _shared_term_to_json,
     app,
     count_terms,
     delta,
@@ -661,15 +660,6 @@ class TestJson:
             assert t.kind == "delta"
             t = t.children[0]
         assert t == VOID
-
-    def test_shared_conversion_converts_each_node_once(self):
-        x = merge(VOID, delta(VOID))
-        t, u = merge(x, x), app(x, VOID)
-        convert = _shared_term_to_json()
-        a, b = convert(t), convert(u)
-        assert a == term_to_json(t) and b == term_to_json(u)
-        assert a["c"][0] is a["c"][1] is b["c"][0]
-        assert convert(t) is a
 
 
 def reference_term_to_json(t: Term) -> dict:
