@@ -41,21 +41,26 @@ class InputError(ValueError):
     """An input file that cannot be read as text."""
 
 
-def _emit(args, payload: Callable[[], dict], text: str) -> None:
-    """Print `text`, or under --json the JSON of `payload()`.  The payload is
-    built only under --json: a full run's holds every step's two terms."""
-    if args.json:
-        import json
+def _print_json(args, payload: Callable[[], dict]) -> bool:
+    """Under --json, print the JSON of `payload()` and return True; else
+    print nothing and return False, and the caller prints its text form.
+    Only the form printed is built: a full run's payload holds every
+    step's two terms, and the text renders terms, recursing on their
+    depth.  The caller renders in its own frame, so a deep term has as
+    much stack left as when the text was built first."""
+    if not args.json:
+        return False
+    import json
 
-        print(json.dumps(payload(), sort_keys=True))
-    else:
-        print(text)
+    print(json.dumps(payload(), sort_keys=True))
+    return True
 
 
-def _emit_report(args, report, lines: list[str]) -> int:
-    """Print a check report as JSON, or as `lines` and its PASS/FAIL verdict,
-    and return its exit status."""
-    _emit(args, report.to_json, "\n".join([*lines, "PASS" if report.ok else "FAIL"]))
+def _emit_report(args, report, lines: Callable[[], list[str]]) -> int:
+    """Print a check report as JSON, or as `lines()` and its PASS/FAIL
+    verdict, and return its exit status."""
+    if not _print_json(args, report.to_json):
+        print("\n".join([*lines(), "PASS" if report.ok else "FAIL"]))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -77,7 +82,8 @@ def _witness_line(w: rewrite.StepWitness) -> str:
 
 def _cmd_parse(args) -> int:
     for t in _read_terms(args):
-        _emit(args, lambda: {"term": terms.term_to_json(t)}, terms.render(t))
+        if not _print_json(args, lambda: {"term": terms.term_to_json(t)}):
+            print(terms.render(t))
     return EXIT_OK
 
 
@@ -87,8 +93,9 @@ def _cmd_step(args) -> int:
     relation = rewrite.RelationKind[_RELATIONS[args.relation]]
     for t in _read_terms(args):
         witnesses = rewrite.steps(t, relation)
-        lines = [_witness_line(w) for w in witnesses] or ["(no steps)"]
-        _emit(args, lambda: {"steps": [w.to_json() for w in witnesses]}, "\n".join(lines))
+        if not _print_json(args, lambda: {"steps": [w.to_json() for w in witnesses]}):
+            lines = [_witness_line(w) for w in witnesses] or ["(no steps)"]
+            print("\n".join(lines))
     return EXIT_OK
 
 
@@ -98,17 +105,29 @@ def _cmd_normalize(args) -> int:
     fuel = normalize.DEFAULT_FUEL if args.fuel is None else args.fuel
     status = EXIT_OK
     for t in _read_terms(args):
+        if args.json:
+            # The payload holds t, and a full run's holds each step's two
+            # terms.  A t too deep for the JSON encoder is refused here,
+            # before a run whose payload could never be printed is built.
+            import json
+
+            json.dumps(terms.term_to_json(t))
         if args.relation == "safe":
             trace = normalize.normalize_safe(t)
+            if _print_json(args, trace.to_json):
+                continue
             lines = [
                 f"{s.witness.rule.value}: {terms.render(s.witness.source)} -> "
                 f"{terms.render(s.witness.result)}   {s.before} -> {s.after}"
                 for s in trace.steps
             ] if args.trace else []
             lines.append(terms.render(trace.final_term))
-            _emit(args, trace.to_json, "\n".join(lines))
         else:
             run = normalize.normalize_full(t, fuel)
+            if not run.normalized:
+                status = EXIT_VIOLATION
+            if _print_json(args, run.to_json):
+                continue
             lines = [_witness_line(w) for w in run.steps] if args.trace else []
             if run.normalized:
                 lines.append(terms.render(run.term))
@@ -116,8 +135,7 @@ def _cmd_normalize(args) -> int:
                 lines.append(
                     f"fuel exhausted after {run.steps_taken} steps at: {terms.render(run.term)}"
                 )
-                status = EXIT_VIOLATION
-            _emit(args, run.to_json, "\n".join(lines))
+        print("\n".join(lines))
     return status
 
 
@@ -126,8 +144,8 @@ def _cmd_measure(args) -> int:
 
     for t in _read_terms(args):
         m = measure.measure3(t)
-        text = f"dflag: {m.dflag}\nkappaM: {m._kappa_text()}\ntau: {m.tau}"
-        _emit(args, lambda: {"measure": m.to_json()}, text)
+        if not _print_json(args, lambda: {"measure": m.to_json()}):
+            print(f"dflag: {m.dflag}\nkappaM: {m._kappa_text()}\ntau: {m.tau}")
     return EXIT_OK
 
 
@@ -137,7 +155,8 @@ def _cmd_reaches(args) -> int:
     t = terms.parse(args.term)
     target = terms.parse(args.target)
     verdict = normalize.reaches_target(t, target)
-    _emit(args, lambda: {"reaches": verdict}, "true" if verdict else "false")
+    if not _print_json(args, lambda: {"reaches": verdict}):
+        print("true" if verdict else "false")
     return EXIT_OK
 
 
@@ -149,15 +168,16 @@ def _cmd_witness_nonjoin(args) -> int:
     except confluence.FuelExhaustedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATION
-    lines = [
-        f"source: {terms.render(witness.source)}",
-        f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
-        f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}",
-        f"normal form A: {terms.render(witness.normal_refl)}",
-        f"normal form B: {terms.render(witness.normal_diff)}",
-        f"verdict: {witness.verdict} (budget {args.budget})",
-    ]
-    _emit(args, witness.to_json, "\n".join(lines))
+    if not _print_json(args, witness.to_json):
+        lines = [
+            f"source: {terms.render(witness.source)}",
+            f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
+            f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}",
+            f"normal form A: {terms.render(witness.normal_refl)}",
+            f"normal form B: {terms.render(witness.normal_diff)}",
+            f"verdict: {witness.verdict} (budget {args.budget})",
+        ]
+        print("\n".join(lines))
     return EXIT_OK if witness.ok else EXIT_VIOLATION
 
 
@@ -165,15 +185,19 @@ def _cmd_check_decrease(args) -> int:
     from . import measure, workers
 
     report = measure.decrease_sweep(args.max_size, workers=workers.resolve_workers())
-    d = report.decided_by
-    lines = [
-        f"checked: {report.checked} guarded root instances (size <= {args.max_size})",
-        f"violations: {len(report.violations)}",
-        f"decided by: dflag={d['dflag']} kappaM={d['kappaM']} tau={d['tau']}",
-    ]
-    for rule, counts in sorted(report.by_rule.items()):
-        parts = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        lines.append(f"  {rule}: {parts}")
+
+    def lines() -> list[str]:
+        d = report.decided_by
+        out = [
+            f"checked: {report.checked} guarded root instances (size <= {args.max_size})",
+            f"violations: {len(report.violations)}",
+            f"decided by: dflag={d['dflag']} kappaM={d['kappaM']} tau={d['tau']}",
+        ]
+        for rule, counts in sorted(report.by_rule.items()):
+            parts = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+            out.append(f"  {rule}: {parts}")
+        return out
+
     return _emit_report(args, report, lines)
 
 
@@ -184,38 +208,40 @@ def _cmd_check_local_join(args) -> int:
     report = confluence.local_join_sweep(
         args.max_size, relation, args.budget, workers=workers.resolve_workers()
     )
-    lines = [
+    return _emit_report(args, report, lambda: [
         f"relation: {report.relation}",
         f"forks checked: {report.forks_checked} (size <= {args.max_size})",
         f"joined: {report.joined}",
         f"inconclusive: {len(report.inconclusive)}",
         f"violations: {len(report.violations)}",
-    ]
-    return _emit_report(args, report, lines)
+    ])
 
 
 def _cmd_check_unique_nf(args) -> int:
     from . import confluence, workers
 
     report = confluence.unique_nf_sweep(args.max_size, workers=workers.resolve_workers())
-    lines = [
+    return _emit_report(args, report, lambda: [
         f"terms checked: {report.terms_checked} (size <= {args.max_size})",
         f"violations: {len(report.violations)}",
-    ]
-    return _emit_report(args, report, lines)
+    ])
 
 
 def _cmd_check_coverage(args) -> int:
     from . import confluence, workers
 
     report = confluence.root_coverage_sweep(args.max_size, workers=workers.resolve_workers())
-    instances = report.to_json()["instances"]
-    lines = [f"{shape}: {count} instance(s)" for shape, count in instances.items()]
-    lines.append(f"target mismatches: {len(report.mismatches)}")
-    lines.append(
-        f"guard-blocked eqw instances checked: {report.vacuous_checked}, "
-        f"violations: {len(report.vacuous_violations)}"
-    )
+
+    def lines() -> list[str]:
+        instances = report.to_json()["instances"]
+        out = [f"{shape}: {count} instance(s)" for shape, count in instances.items()]
+        out.append(f"target mismatches: {len(report.mismatches)}")
+        out.append(
+            f"guard-blocked eqw instances checked: {report.vacuous_checked}, "
+            f"violations: {len(report.vacuous_violations)}"
+        )
+        return out
+
     return _emit_report(args, report, lines)
 
 
@@ -242,15 +268,16 @@ def _cmd_check_nogo(args) -> int:
             print(f"error: unknown family {args.family!r} (one of: {names})", file=sys.stderr)
             return EXIT_USAGE
         hunt = nogo.find_violation(family, max_size=args.max_size)
-        if hunt.found:
-            found = _format_counterexample(hunt.counterexample, nogo.render_value)
-            lines = [
-                f"counterexample: {found}",
-                "PASS (counterexample found, as expected for this family)",
-            ]
-        else:
-            lines = [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
-        _emit(args, hunt.to_json, "\n".join([f"family: {family.name}", *lines]))
+        if not _print_json(args, hunt.to_json):
+            if hunt.found:
+                found = _format_counterexample(hunt.counterexample, nogo.render_value)
+                lines = [
+                    f"counterexample: {found}",
+                    "PASS (counterexample found, as expected for this family)",
+                ]
+            else:
+                lines = [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
+            print("\n".join([f"family: {family.name}", *lines]))
         return EXIT_OK if hunt.found else EXIT_VIOLATION
 
     hunts = [nogo.find_violation(f, max_size=args.max_size) for f in nogo.catalog()]
@@ -258,6 +285,11 @@ def _cmd_check_nogo(args) -> int:
         nogo.canonical_family(), rewrite.RelationKind.SAFE_ROOT, args.max_size
     )
     ok = all(h.found for h in hunts) and not canonical.found
+    if _print_json(
+        args,
+        lambda: {"families": [h.to_json() for h in hunts], "canonical": canonical.to_json()},
+    ):
+        return EXIT_OK if ok else EXIT_VIOLATION
     lines = [
         f"{h.family}: counterexample: "
         f"{_format_counterexample(h.counterexample, nogo.render_value)}"
@@ -270,11 +302,7 @@ def _cmd_check_nogo(args) -> int:
         f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances"
     )
     lines.append("PASS" if ok else "FAIL")
-    _emit(
-        args,
-        lambda: {"families": [h.to_json() for h in hunts], "canonical": canonical.to_json()},
-        "\n".join(lines),
-    )
+    print("\n".join(lines))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -282,16 +310,20 @@ def _cmd_check_lpo(args) -> int:
     from . import nogo
 
     report = nogo.lpo_boundary_report(max_size=args.max_size)
-    lines = [
-        f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
-        f"first: {' < '.join(report.precedence) or '-'}",
-        f"instances checked: {report.instances_checked}",
-    ]
-    if report.rank_only.found:
-        lines.append(
-            "precedence rank alone: counterexample: "
-            f"{_format_counterexample(report.rank_only.counterexample, nogo.render_value)}"
-        )
+
+    def lines() -> list[str]:
+        out = [
+            f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
+            f"first: {' < '.join(report.precedence) or '-'}",
+            f"instances checked: {report.instances_checked}",
+        ]
+        if report.rank_only.found:
+            out.append(
+                "precedence rank alone: counterexample: "
+                f"{_format_counterexample(report.rank_only.counterexample, nogo.render_value)}"
+            )
+        return out
+
     return _emit_report(args, report, lines)
 
 
@@ -299,13 +331,12 @@ def _cmd_check_stress(args) -> int:
     from . import nogo
 
     report = nogo.duplication_stress(args.max_size)
-    lines = [
+    return _emit_report(args, report, lambda: [
         f"rec_succ instances: {report.instances} (size <= {args.max_size})",
         f"fitted identity: {report.identity or 'none (no rec_succ instance)'}",
         f"identity failures: {len(report.failures)}",
         f"strict size drops: {report.strict_drops}",
-    ]
-    return _emit_report(args, report, lines)
+    ])
 
 
 # name, handler, help, default --max-size

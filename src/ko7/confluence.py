@@ -9,7 +9,6 @@ import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .normalize import normalize_full
 from .rewrite import (
     _SAFE_CTX_KINDS,
     RelationKind,
@@ -158,13 +157,17 @@ def _local_join_chunk(
     children commute in one step each, as a guard reads only its own redex.
     The root witnesses come first in pre-order, so they are the first
     `roots` of steps(t, relation); with `lift` they are built only for a
-    term that has a root step and a fork."""
+    term that has a root step and a fork, and the root rules are matched
+    once per term (the witness count adds the children's counts to them,
+    as `_ctx_witness_count` does)."""
     report = SweepReport(relation.value, max_size)
     ctx = relation is RelationKind.SAFE_CTX
     for t in enumerate_terms(max_size, lo, hi):
         if lift:
-            roots = len(_root_rewrites(t, True))
-            count = _ctx_witness_count(t) if ctx else roots
+            roots = count = len(_root_rewrites(t, True))
+            if ctx and t.kind in _SAFE_CTX_KINDS:
+                for child in t.children:
+                    count += _ctx_witness_count(child)
             witnesses = steps(t, relation) if roots and count > 1 else []
         else:
             witnesses = steps(t, relation)
@@ -436,6 +439,10 @@ def non_join_witness(budget: int = 1000, fuel: int = 1000) -> NonJoinWitness:
     """eqw void void steps to both void and integrate (merge void void)
     under the full root relation; their full-context normal forms are void
     and (integrate void), which are distinct and never rejoin."""
+    # imported here alone: no sweep of this module normalizes, and each
+    # `ko7` command is a fresh process that loads only what it runs
+    from .normalize import normalize_full
+
     source = eqw(VOID, VOID)
     full = steps(source, RelationKind.FULL_ROOT)
     by_rule = {w.rule.value: w.result for w in full}

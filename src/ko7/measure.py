@@ -87,7 +87,8 @@ class Measure3(_Triple):
 
 
 def measure3(t: Term) -> Measure3:
-    return Measure3(delta_flag(t), t.rec_taus, t.tau)
+    # tuple.__new__ skips Measure3.__new__'s Counter test: rec_taus is a tuple
+    return tuple.__new__(Measure3, (delta_flag(t), tuple(sorted(t.rec_taus, reverse=True)), t.tau))
 
 
 def lex3_less(a: Measure3, b: Measure3) -> bool:

@@ -502,7 +502,7 @@ JSON_DIGESTS = {
         (1, "9618dfbb2eb5785f4045b50d1e20973d24479355a3bb171c2babfd986526c195"),
 }
 
-# The sweeps that run on the worker pool when KO7_WORKERS allows it.
+# The sweeps that run on forked workers when KO7_WORKERS allows it.
 POOLED = [
     ("check", "decrease", "--max-size", "6"),
     ("check", "local-join", "--max-size", "5"),
@@ -602,6 +602,64 @@ class TestUsage:
     def test_unknown_command_exits_2(self, run):
         status, _, _ = run("frobnicate")
         assert status == 2
+
+
+def _chain(depth: int) -> str:
+    return "(rec void void " + "(delta " * depth + "void" + ")" * depth + ")"
+
+
+# The deepest chain `rec void void δ^n void` that each command takes in a
+# fresh `python -m ko7.cli` process, bisected with one process per probe.
+# A text form renders the term, which recurses; under --json no text is
+# built, and the JSON encoder's nesting sets the depth.  `measure` renders
+# nothing in either form.  A refusal depth may rise, never fall.
+DEEPEST = [
+    (("parse", "T"), 330),
+    (("step", "T"), 329),
+    (("step", "T", "--relation", "full-ctx"), 329),
+    (("normalize", "T"), 330),
+    (("normalize", "T", "--relation", "full"), 331),
+    (("normalize", "T", "--relation", "full", "--trace"), 329),
+    (("measure", "T"), 990),
+    (("--json", "parse", "T"), 492),
+    (("--json", "step", "T"), 491),
+    (("--json", "step", "T", "--relation", "full-ctx"), 491),
+    (("--json", "normalize", "T"), 490),
+    (("--json", "normalize", "T", "--relation", "full"), 491),
+    (("--json", "normalize", "T", "--relation", "full", "--trace"), 491),
+    (("--json", "measure", "T"), 990),
+]
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="bisected on CPython 3.11; the stack a recursion level takes differs by version",
+)
+@pytest.mark.parametrize("argv, depth", DEEPEST, ids=[" ".join(a) for a, _ in DEEPEST])
+def test_the_deepest_chain_a_command_takes(argv, depth):
+    src = str(Path(ko7.__file__).resolve().parent.parent)
+
+    def status(n):
+        command = [_chain(n) if a == "T" else a for a in argv]
+        return subprocess.run(
+            [sys.executable, "-m", "ko7.cli", *command],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            timeout=120,
+        ).returncode
+
+    assert (status(depth), status(depth + 1)) == (0, 2)
+
+
+def test_json_normalize_refuses_a_chain_too_deep_to_print_before_the_run(run, monkeypatch):
+    # the payload of this run would hold about 2 million JSON nodes (near
+    # 900 MB) before the encoder refused them
+    import ko7.normalize
+
+    monkeypatch.setattr(ko7.normalize, "normalize_full", lambda t, fuel: pytest.fail("ran"))
+    status, out, err = run("--json", "normalize", _chain(1000), "--relation", "full")
+    assert (status, out) == (2, "")
+    assert "error: term too deep" in err
 
 
 def test_import_does_not_load_the_process_pool():

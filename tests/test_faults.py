@@ -1,7 +1,8 @@
 """Fault injection: each check's FAIL verdict, and the normalizer's
 invariant error, reached by breaking one thing the check relies on.  On
 correct code no enumerated term reaches these paths.  The coverage
-sweep's faults are in test_workers.py, next to its in-process pool."""
+sweep's faults are in test_workers.py, where they also run on forked
+workers."""
 
 import json
 
@@ -48,8 +49,9 @@ class TestStressFaults:
 
 def test_nonjoin_witness_with_equal_normal_forms_is_not_distinct(monkeypatch, run):
     # both reducts normalized to void, as if the two rules agreed
-    full = confluence.normalize_full
-    monkeypatch.setattr(confluence, "normalize_full", lambda t, fuel: full(VOID, fuel))
+    # non_join_witness looks the reducer up in its own module when it runs
+    full = normalize.normalize_full
+    monkeypatch.setattr(normalize, "normalize_full", lambda t, fuel: full(VOID, fuel))
     witness = confluence.non_join_witness()
     assert not witness.distinct and not witness.ok
     status, out = run("--json", "witness", "nonjoin")

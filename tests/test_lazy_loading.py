@@ -102,7 +102,9 @@ def test_import_loads_no_submodule_and_a_name_loads_its_own():
 CLI = ["ko7", "ko7.cli", "ko7.terms"]
 MEASURE = sorted([*CLI, "ko7.measure", "ko7.rewrite", "ko7.workers"])  # measure imports both
 NORMALIZE = sorted([*MEASURE, "ko7.normalize"])
-CONFLUENCE = sorted([*NORMALIZE, "ko7.confluence"])
+# the sweeps of confluence never normalize; only the non-join witness does
+CONFLUENCE = sorted([*CLI, "ko7.confluence", "ko7.rewrite", "ko7.workers"])
+NONJOIN = sorted([*NORMALIZE, "ko7.confluence"])
 NOGO = sorted([*MEASURE, "ko7.nogo"])
 
 # one command per family, and the ko7 modules it loads
@@ -112,7 +114,7 @@ COMMANDS = [
     (("normalize", "(eqw void void)"), NORMALIZE),
     (("measure", "void"), MEASURE),
     (("reaches", "void", "void"), NORMALIZE),
-    (("witness", "nonjoin"), CONFLUENCE),
+    (("witness", "nonjoin"), NONJOIN),
     (("check", "decrease", "--max-size", "4"), MEASURE),
     (("check", "local-join", "--max-size", "4"), CONFLUENCE),
     (("check", "unique-nf", "--max-size", "4"), CONFLUENCE),
@@ -125,8 +127,7 @@ COMMANDS = [
 
 @pytest.mark.parametrize("argv, modules", COMMANDS, ids=[" ".join(c[:2]) for c, _ in COMMANDS])
 def test_a_command_loads_only_what_it_runs(argv, modules):
-    # the pool module is imported only where a pool starts, and json only
-    # under --json
+    # json is imported only under --json
     run = "import sys; from ko7.cli import main; sys.exit(main(sys.argv[1:]))"
     assert _loaded(run, *argv) == {"code": 0, "modules": modules}
     assert _loaded(run, "--json", *argv) == {"code": 0, "modules": sorted([*modules, "json"])}

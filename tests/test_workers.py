@@ -1,7 +1,13 @@
 import gc
+import itertools
 import os
+import signal
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +21,7 @@ from ko7.confluence import (
     _local_join_chunk,
     _unique_nf_chunk,
 )
-from ko7.measure import DecreaseReport, _decrease_chunk
+from ko7.measure import DecreaseReport, _decrease_chunk, decrease_sweep
 from ko7.normalize import normalize_full
 from ko7.rewrite import RelationKind, RuleId
 from ko7.terms import VOID, _collector_paused, count_terms, delta, rec
@@ -56,33 +62,30 @@ def test_run_sweep_merges_contiguous_slices_in_order():
     assert {(s[0], s[3]) for s in pooled} == {(5, "t")}
 
 
-class _SerialPool:
-    """Runs `map` in order, in this process, recording the slices."""
-
-    submitted: list = []
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        tasks = list(zip(*iterables))
-        _SerialPool.submitted = [task[1:3] for task in tasks]
-        return [fn(*task) for task in tasks]
+def test_run_sweep_forks_no_more_workers_than_the_handout_takes(monkeypatch):
+    # the hand-out is written whole before any fork, so it must fit the pipe
+    monkeypatch.setattr("ko7.workers._MAX_WORKERS", 2)
+    assert len(run_sweep(_slice_chunk, 5, 4, "t").slices) == 2 * CHUNKS_PER_WORKER
 
 
-def test_run_sweep_submits_last_slice_first(monkeypatch):
-    import concurrent.futures
+_ORDER = itertools.count()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    merged = [s[1:3] for s in run_sweep(_slice_chunk, 5, 2, "t").slices]
-    assert _SerialPool.submitted == merged[::-1]
-    assert merged[0][0] == 0 and merged[-1][1] == count_terms(5)
+
+def _order_chunk(max_size, lo, hi):
+    # a forked worker counts on from the parent's count, one per chunk it runs
+    return _Slices([(os.getpid(), next(_ORDER), lo)])
+
+
+def test_run_sweep_submits_last_slice_first():
+    merged = run_sweep(_order_chunk, 5, 2).slices
+    starts = [lo for _, _, lo in merged]
+    assert len(starts) == 2 * CHUNKS_PER_WORKER and starts == sorted(starts)
+    taken: dict[int, list[int]] = {}  # worker -> the slices it ran, in order
+    for pid, _, lo in sorted(merged, key=lambda s: s[1]):
+        taken.setdefault(pid, []).append(lo)
+    assert os.getpid() not in taken and 1 <= len(taken) <= 2
+    assert all(los == sorted(los, reverse=True) for los in taken.values())
+    assert starts[-1] in {los[0] for los in taken.values()}
 
 
 def _collector_chunk(max_size, lo, hi):
@@ -94,7 +97,9 @@ class _ChunkFailed(Exception):
 
 
 def _failing_chunk(max_size, lo, hi):
-    raise _ChunkFailed
+    if lo == 0:
+        raise _ChunkFailed(f"slice from {lo} failed")
+    return _Slices()
 
 
 def test_every_pooled_chunk_runs_with_the_collector_paused():
@@ -102,23 +107,104 @@ def test_every_pooled_chunk_runs_with_the_collector_paused():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_sweep_pauses_the_collector_and_puts_it_back(monkeypatch, collector, workers):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+def test_run_sweep_pauses_the_collector_and_puts_it_back(collector, workers):
     chunks = 1 if workers == 1 else workers * CHUNKS_PER_WORKER
     assert run_sweep(_collector_chunk, 5, workers).slices == [False] * chunks
     assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_sweep_puts_the_collector_back_when_a_chunk_raises(monkeypatch, collector, workers):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+def test_run_sweep_puts_the_collector_back_when_a_chunk_raises(collector, workers):
     with pytest.raises(_ChunkFailed):
         run_sweep(_failing_chunk, 5, workers)
     assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_chunk_error_reaches_the_caller_as_raised(workers):
+    with pytest.raises(_ChunkFailed) as caught:
+        run_sweep(_failing_chunk, 5, workers)
+    assert type(caught.value) is _ChunkFailed
+    assert caught.value.args == ("slice from 0 failed",)
+
+
+def test_an_unpicklable_chunk_error_arrives_as_its_repr():
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def chunk(max_size, lo, hi):
+        raise Local("no pickle")
+
+    with pytest.raises(RuntimeError) as caught:
+        run_sweep(chunk, 5, 2)
+    assert caught.value.args == ("Local('no pickle')",)
+
+
+def _killed_chunk(max_size, lo, hi):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupted(fd):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("way_out", ["killed worker", "interrupted parent"])
+def test_no_worker_or_pipe_outlives_a_failed_sweep(monkeypatch, way_out):
+    fds = len(os.listdir("/proc/self/fd"))
+    if way_out == "killed worker":
+        with pytest.raises(RuntimeError, match=r"^sweep worker \d+ ended without a result \(wait status 9\)$"):
+            run_sweep(_killed_chunk, 5, 2)
+    else:
+        monkeypatch.setattr("ko7.workers._read_all", _interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_slice_chunk, 7, 2, "t")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_resolve_workers_is_one_without_fork(monkeypatch):
+    monkeypatch.setenv("KO7_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert resolve_workers() == 2
+    monkeypatch.delattr(os, "fork")
+    assert resolve_workers() == 1
+
+
+SWEEPS = {
+    "decrease": decrease_sweep,
+    "unique-nf": confluence.unique_nf_sweep,
+    "coverage": confluence.root_coverage_sweep,
+    "local-join": partial(confluence.local_join_sweep, relation=RelationKind.SAFE_CTX, budget=200),
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_forked_sweeps_report_as_the_serial_ones(name):
+    sweep = SWEEPS[name]
+    for max_size in range(1, 8):
+        serial = sweep(max_size, workers=1).to_json()
+        for count in (2, 3, 4):
+            assert sweep(max_size, workers=count).to_json() == serial, (max_size, count)
+
+
+def test_a_forked_sweep_loads_no_pool_module():
+    # pickle is imported only when workers are forked
+    code = (
+        "import sys\n"
+        "from ko7.confluence import unique_nf_sweep\n"
+        "assert unique_nf_sweep(5, workers=2).ok\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+    )
+    src = str(Path(confluence.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (0, "['pickle']\n")
 
 
 def test_sweeps_and_the_full_reducer_leave_no_cyclic_garbage():
@@ -156,13 +242,10 @@ def _tally_chunk(max_size, lo, hi):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_sweep_sums_every_defaulted_field_in_slice_order(monkeypatch, workers):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+def test_run_sweep_sums_every_defaulted_field_in_slice_order(workers):
     total = count_terms(5)
     merged = run_sweep(_tally_chunk, 5, workers)
-    starts = [lo for lo, _ in reversed(_SerialPool.submitted)] if workers > 1 else [0]
+    starts = [s[1] for s in run_sweep(_slice_chunk, 5, workers, "t").slices]
     assert merged.name == "size 5"
     assert merged.count == total
     assert merged.items == starts
@@ -177,12 +260,10 @@ def test_no_sweep_report_merges_itself():
 
 @pytest.fixture
 def wrong_root_rewrites(monkeypatch):
-    """Guarded root rewrites with two faults, under the in-process pool:
+    """Guarded root rewrites with two faults, which forked workers inherit:
     every merge step lands one delta above its target, and eqw a a steps
     to void even when the guard blocks it.  Yields the unfaulted coverage
     report at size 6."""
-    import concurrent.futures
-
     clean = confluence.root_coverage_sweep(6)
     guarded = confluence._root_rewrites
 
@@ -194,7 +275,6 @@ def wrong_root_rewrites(monkeypatch):
         return guarded(t, safe)
 
     monkeypatch.setattr(confluence, "_root_rewrites", wrong)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     yield clean
 
 
@@ -216,7 +296,6 @@ class TestCoverageFaults:
         # lists, a Counter and counts merged together across every chunk
         serial = confluence.root_coverage_sweep(6, workers=1).to_json()
         pooled = confluence.root_coverage_sweep(6, workers=2).to_json()
-        assert len(_SerialPool.submitted) == 2 * CHUNKS_PER_WORKER
         assert pooled == serial
         assert serial["mismatches"] and serial["vacuousViolations"]
 
