@@ -38,7 +38,8 @@ _RELATIONS = {
 
 
 class InputError(ValueError):
-    """An input file that cannot be read as text."""
+    """An input file that cannot be read as text, or a line of it that is
+    not a term."""
 
 
 def _print_json(args, payload: Callable[[], dict]) -> bool:
@@ -46,8 +47,9 @@ def _print_json(args, payload: Callable[[], dict]) -> bool:
     print nothing and return False, and the caller prints its text form.
     Only the form printed is built: a full run's payload holds every
     step's two terms, and the text renders terms, recursing on their
-    depth.  The caller renders in its own frame, so a deep term has as
-    much stack left as when the text was built first."""
+    depth.  The caller renders the text in its own frame, not in a
+    callback from here: each frame a callback adds would lower the depth of
+    the deepest term the text form can print."""
     if not args.json:
         return False
     import json
@@ -71,7 +73,14 @@ def _read_terms(args) -> list[terms.Term]:
                 lines = handle.readlines()
         except (OSError, UnicodeDecodeError) as err:
             raise InputError(f"cannot read {args.file}: {err}") from None
-        return [terms.parse(line) for line in lines if line.strip()]
+        out = []
+        for number, line in enumerate(lines, 1):
+            if line.strip():
+                try:
+                    out.append(terms.parse(line))
+                except terms.TermError as err:
+                    raise InputError(f"{args.file}:{number}: {err}") from None
+        return out
     return [terms.parse(args.term)]
 
 

@@ -17,17 +17,7 @@ from .rewrite import (
     root_steps_safe,
     steps,
 )
-from .terms import (
-    Term,
-    VOID,
-    app,
-    enumerate_terms,
-    eqw,
-    integrate,
-    merge,
-    rec,
-    term_to_json,
-)
+from .terms import Term, VOID, _node, enumerate_terms, eqw, term_to_json
 from .workers import run_sweep
 
 
@@ -135,16 +125,15 @@ class SweepReport:
         }
 
 
-def _ctx_witness_count(t: Term) -> int:
-    """len(ctx_steps_safe(t)), from t's guarded root rewrites and, below
-    the safe context kinds, its children's counts.  It recurses on t's
-    structure, which the sweeps call only on enumerated terms, whose depth
-    --max-size bounds."""
-    count = len(_root_rewrites(t, True))
+def _ctx_witness_count(t: Term, roots: int) -> int:
+    """len(ctx_steps_safe(t)), from `roots`, the number of t's guarded
+    root rewrites, and, below the safe context kinds, its children's
+    counts.  It recurses on t's structure, which the sweeps call only on
+    enumerated terms, whose depth --max-size bounds."""
     if t.kind in _SAFE_CTX_KINDS:
         for child in t.children:
-            count += _ctx_witness_count(child)
-    return count
+            roots += _ctx_witness_count(child, len(_root_rewrites(child, True)))
+    return roots
 
 
 def _local_join_chunk(
@@ -157,17 +146,14 @@ def _local_join_chunk(
     children commute in one step each, as a guard reads only its own redex.
     The root witnesses come first in pre-order, so they are the first
     `roots` of steps(t, relation); with `lift` they are built only for a
-    term that has a root step and a fork, and the root rules are matched
-    once per term (the witness count adds the children's counts to them,
-    as `_ctx_witness_count` does)."""
+    term that has a root step and a fork.  The root rules are matched once
+    per term: `_ctx_witness_count` adds the children's counts to theirs."""
     report = SweepReport(relation.value, max_size)
     ctx = relation is RelationKind.SAFE_CTX
     for t in enumerate_terms(max_size, lo, hi):
         if lift:
-            roots = count = len(_root_rewrites(t, True))
-            if ctx and t.kind in _SAFE_CTX_KINDS:
-                for child in t.children:
-                    count += _ctx_witness_count(child)
+            roots = len(_root_rewrites(t, True))
+            count = _ctx_witness_count(t, roots) if ctx else roots
             witnesses = steps(t, relation) if roots and count > 1 else []
         else:
             witnesses = steps(t, relation)
@@ -314,11 +300,13 @@ def _shape_targets(t: Term) -> list[tuple[str, Term]]:
         if arg == VOID:
             rows.append(("rec-zero", base))
         elif arg.kind == "delta":
-            rows.append(("rec-succ", app(step, rec(base, step, arg.children[0]))))
+            inner = _node("rec", (base, step, arg.children[0]))
+            rows.append(("rec-succ", _node("app", (step, inner))))
     elif t.kind == "eqw":
         left, right = t.children
         if left != right:
-            rows.append(("eqw-diff", integrate(merge(left, right))))
+            both = _node("merge", (left, right))
+            rows.append(("eqw-diff", _node("integrate", (both,))))
         elif not left.rec_taus:  # kappa_m(left) is empty
             rows.append(("eqw-refl", VOID))
     return rows
@@ -357,7 +345,7 @@ def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
     for t in enumerate_terms(max_size, lo, hi):
         if t.rec_taus:  # kappa_m(t) is nonempty
             report.vacuous_checked += 1
-            blocked = eqw(t, t)
+            blocked = _node("eqw", (t, t))
             if _root_rewrites(blocked, True):
                 report.vacuous_violations.append(blocked)
         rows = _shape_targets(t)

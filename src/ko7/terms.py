@@ -166,7 +166,7 @@ def _node(kind: str, children: tuple[Term, ...]) -> Term:
     """A node whose kind, arity and children are known to be valid, built
     without `Term.__init__`'s checks: for the enumeration and `replace_at`,
     which copy them from valid nodes, for `parse`, which checks them itself,
-    and for the right-hand sides of the root rules."""
+    and for the right-hand sides of the root rules and coverage's targets."""
     t = _new(Term)
     _set(t, "kind", kind)
     _set(t, "children", children)

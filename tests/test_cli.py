@@ -62,6 +62,17 @@ class TestParse:
         assert out == ""
         assert err.startswith("error: cannot read ")
 
+    def test_malformed_line_names_its_line(self, run, tmp_path):
+        # physical line numbers, 1-based, the blank line counted
+        path = tmp_path / "terms.txt"
+        path.write_text("void\n\n(merge void)\n(delta void)\n")
+        status, out, err = run("parse", "--file", str(path))
+        assert status == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}:3: 'merge' takes 2 argument(s), got 1 (at offset 1)\n"
+        )
+
 
 class TestStep:
     def test_safe_default(self, run):

@@ -136,7 +136,8 @@ def test_unique_nf_matches_the_oracle_on_full_root_rewrites(monkeypatch):
 
 def test_witness_count_is_the_number_of_ctx_steps():
     for t in enumerate_terms(8):
-        assert confluence._ctx_witness_count(t) == len(ctx_steps_safe(t))
+        roots = len(root_steps_safe(t))
+        assert confluence._ctx_witness_count(t, roots) == len(ctx_steps_safe(t))
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 200])
@@ -255,4 +256,22 @@ def test_structural_sweeps_hash_no_term(monkeypatch, chunk):
     assert hash(VOID) == unwrapped(VOID) and len(calls) == 1
     calls.clear()
     chunk(7, 0, count_terms(7))
+    assert calls == []
+
+
+def test_coverage_builds_no_term_through_the_checked_constructor(monkeypatch):
+    # the shape targets and each blocked eqw t t are built from valid nodes,
+    # so none needs Term.__init__'s checks
+    calls = []
+    unwrapped = Term.__init__
+
+    def counted(t, *args):
+        calls.append(args)
+        unwrapped(t, *args)
+
+    monkeypatch.setattr(Term, "__init__", counted)
+    assert Term("void") == VOID and len(calls) == 1
+    calls.clear()
+    report = confluence._coverage_chunk(7, 0, count_terms(7))
+    assert report.ok
     assert calls == []
