@@ -451,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: term too deep (nesting exceeds the recursion limit)", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -139,35 +139,28 @@ def _ctx_witness_count(t: Term, roots: int) -> int:
 def _local_join_chunk(
     max_size: int, lo: int, hi: int, relation: RelationKind, budget: int, lift: bool
 ) -> SweepReport:
-    """Join the forks of each term in the slice.  With `lift`, only forks
-    with a step at the root are searched, and the others count as joined
-    (critical-pair lemma).  Two steps in one child are that child's fork in
-    a context, and the sweep checks the child itself; steps in different
+    """Join the forks of each term in the slice: C(count, 2) for a term
+    with `count` witnesses, its root rules matched once and its children's
+    counts added by `_ctx_witness_count`.  The root witnesses come first in
+    pre-order, and a fork is searched when its first witness is among the
+    first `searched`: the `roots` with `lift`, the rest counting as joined
+    (critical-pair lemma), else all.  Two steps in one child are that
+    child's fork in a context, checked at the child; steps in different
     children commute in one step each, as a guard reads only its own redex.
-    The root witnesses come first in pre-order, so they are the first
-    `roots` of steps(t, relation); with `lift` they are built only for a
-    term that has a root step and a fork.  The root rules are matched once
-    per term: `_ctx_witness_count` adds the children's counts to theirs."""
+    Witnesses are built only for a term with a fork to search."""
     report = SweepReport(relation.value, max_size)
+    failed = report.violations if relation is RelationKind.SAFE_ROOT else report.inconclusive
     ctx = relation is RelationKind.SAFE_CTX
     for t in enumerate_terms(max_size, lo, hi):
-        if lift:
-            roots = len(_root_rewrites(t, True))
-            count = _ctx_witness_count(t, roots) if ctx else roots
-            witnesses = steps(t, relation) if roots and count > 1 else []
-        else:
-            witnesses = steps(t, relation)
-            roots = count = len(witnesses)
+        roots = len(_root_rewrites(t, True))
+        count = _ctx_witness_count(t, roots) if ctx else roots
+        searched = roots if lift else count
+        witnesses = steps(t, relation) if searched and count > 1 else []
         report.forks_checked += count * (count - 1) // 2
-        for i, left in enumerate(witnesses[:roots]):
+        for i, left in enumerate(witnesses[:searched]):
             for right in witnesses[i + 1 :]:
-                if joinable(left.result, right.result, relation, budget).joined:
-                    continue
-                fork = Fork(t, left, right)
-                if relation is RelationKind.SAFE_ROOT:
-                    report.violations.append(fork)
-                else:
-                    report.inconclusive.append(fork)
+                if not joinable(left.result, right.result, relation, budget).joined:
+                    failed.append(Fork(t, left, right))
     return report
 
 
@@ -183,8 +176,9 @@ def local_join_sweep(
     Only forks with a step at the root are searched at first.  For the
     root-guarded relation every fork is one, so that pass is the whole
     search.  For the context closure, if a searched fork is left
-    inconclusive, the sweep reruns with every fork searched, so the report
-    lists exactly the inconclusive forks that the every-fork search does.
+    inconclusive, the sweep reruns the same chunk with every fork searched,
+    so the report lists exactly the inconclusive forks that the every-fork
+    search does.
     """
     if relation not in (RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX):
         raise ValueError("local-join sweep is defined for the safe relations")

@@ -52,7 +52,8 @@ class ArityError(ParseError):
 
 class InvalidPositionError(TermError):
     def __init__(self, index: int, term: "Term"):
-        super().__init__(f"no child {index} at {term!r}")
+        kind, arity = term.kind, len(term.children)  # not render(term): it recurses
+        super().__init__(f"no child {index} at a {kind} node with {arity} children")
         self.index = index
 
 

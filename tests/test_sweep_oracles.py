@@ -149,14 +149,14 @@ def test_local_join_matches_every_fork_search(relation, budget):
             assert local_join_sweep(max_size, relation, budget, workers).to_json() == want
 
 
-@pytest.mark.parametrize("relation", [RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX])
-def test_local_join_builds_witnesses_only_for_a_root_fork(monkeypatch, relation):
-    # a term needs its witnesses only when a fork has a step at the root;
-    # every fork joins at once, so the join search builds none
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The terms whose witnesses the local-join chunks build, in order;
+    every fork joins at once, so the join search builds none."""
+    terms = []
 
     def counted(t, rel):
-        built.append(t)
+        terms.append(t)
         return steps(t, rel)
 
     def joined(left, right, relation, budget):
@@ -164,6 +164,12 @@ def test_local_join_builds_witnesses_only_for_a_root_fork(monkeypatch, relation)
 
     monkeypatch.setattr(confluence, "steps", counted)
     monkeypatch.setattr(confluence, "joinable", joined)
+    return terms
+
+
+@pytest.mark.parametrize("relation", [RelationKind.SAFE_ROOT, RelationKind.SAFE_CTX])
+def test_local_join_builds_witnesses_only_for_a_root_fork(built, relation):
+    # a term needs its witnesses only when a fork has a step at the root
     report = local_join_sweep(7, relation, 200)
     assert report.joined == report.forks_checked  # one pass, with `lift`
     assert built == [
@@ -171,6 +177,16 @@ def test_local_join_builds_witnesses_only_for_a_root_fork(monkeypatch, relation)
         for t in enumerate_terms(7)
         if root_steps_safe(t) and len(steps(t, relation)) > 1
     ]
+
+
+def test_every_fork_pass_builds_witnesses_only_for_a_fork(built):
+    # without `lift` every fork is searched, and a term needs its witnesses
+    # only when it has one: at least two of them
+    report = confluence._local_join_chunk(7, 0, count_terms(7), RelationKind.SAFE_CTX, 200, False)
+    assert report.forks_checked and report.joined == report.forks_checked
+    want = [t for t in enumerate_terms(7) if len(ctx_steps_safe(t)) >= 2]
+    assert len(want) == 362
+    assert built == want
 
 
 def _same_join(u, v, relation: RelationKind, budget: int) -> bool:

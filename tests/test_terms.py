@@ -567,6 +567,19 @@ class TestPositions:
                 str(want.value),
             )
 
+    def test_bad_index_error_names_the_node_of_a_deep_term(self):
+        chain = VOID
+        for _ in range(2000):
+            chain = delta(chain)
+        t = rec(VOID, VOID, chain)  # deeper than render can recurse
+        for bad in (subterm_at, lambda t, p: replace_at(t, p, VOID)):
+            with pytest.raises(InvalidPositionError) as err:
+                bad(t, (5,))
+            assert str(err.value) == "no child 5 at a rec node with 3 children"
+            with pytest.raises(InvalidPositionError) as err:
+                bad(t, (2,) + (0,) * 2000 + (0,))
+            assert str(err.value) == "no child 0 at a void node with 0 children"
+
     def test_positions_and_subterms_match_reference(self):
         for t in enumerate_terms(7):
             assert list(positions(t)) == list(reference_positions(t))
