@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rewrite import (
     _SAFE_CTX_KINDS,
@@ -21,8 +21,7 @@ from .terms import Term, VOID, _node, enumerate_terms, eqw, term_to_json
 from .workers import run_sweep
 
 
-@dataclass(frozen=True)
-class Fork:
+class Fork(NamedTuple):
     """Two distinct one-step witnesses from the same source."""
 
     source: Term
@@ -30,8 +29,7 @@ class Fork:
     right: StepWitness
 
 
-@dataclass(frozen=True)
-class JoinResult:
+class JoinResult(NamedTuple):
     joined: bool
     common: Term | None
     left_path: tuple[StepWitness, ...]
@@ -90,13 +88,12 @@ def joinable(u: Term, v: Term, relation: RelationKind, budget: int) -> JoinResul
     )
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     relation: str
     max_size: int
     forks_checked: int = 0
-    inconclusive: list[Fork] = field(default_factory=list)
-    violations: list[Fork] = field(default_factory=list)
+    inconclusive: tuple[Fork, ...] = ()
+    violations: tuple[Fork, ...] = ()
 
     @property
     def joined(self) -> int:
@@ -148,20 +145,22 @@ def _local_join_chunk(
     child's fork in a context, checked at the child; steps in different
     children commute in one step each, as a guard reads only its own redex.
     Witnesses are built only for a term with a fork to search."""
-    report = SweepReport(relation.value, max_size)
-    failed = report.violations if relation is RelationKind.SAFE_ROOT else report.inconclusive
+    forks_checked = 0
+    failed = []
     ctx = relation is RelationKind.SAFE_CTX
     for t in enumerate_terms(max_size, lo, hi):
         roots = len(_root_rewrites(t, True))
         count = _ctx_witness_count(t, roots) if ctx else roots
         searched = roots if lift else count
         witnesses = steps(t, relation) if searched and count > 1 else []
-        report.forks_checked += count * (count - 1) // 2
+        forks_checked += count * (count - 1) // 2
         for i, left in enumerate(witnesses[:searched]):
             for right in witnesses[i + 1 :]:
                 if not joinable(left.result, right.result, relation, budget).joined:
                     failed.append(Fork(t, left, right))
-    return report
+    if relation is RelationKind.SAFE_ROOT:
+        return SweepReport(relation.value, max_size, forks_checked, violations=tuple(failed))
+    return SweepReport(relation.value, max_size, forks_checked, inconclusive=tuple(failed))
 
 
 def local_join_sweep(
@@ -188,11 +187,10 @@ def local_join_sweep(
     return report
 
 
-@dataclass
-class UniqueNFReport:
+class UniqueNFReport(NamedTuple):
     max_size: int
     terms_checked: int = 0
-    violations: list[Term] = field(default_factory=list)
+    violations: tuple[Term, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -244,12 +242,9 @@ def _root_normal_form(t: Term) -> Term | None:
 
 
 def _unique_nf_chunk(max_size: int, lo: int, hi: int) -> UniqueNFReport:
-    report = UniqueNFReport(max_size)
-    for t in enumerate_terms(max_size, lo, hi):
-        report.terms_checked += 1
-        if _root_normal_form(t) is None:
-            report.violations.append(t)
-    return report
+    terms = enumerate_terms(max_size, lo, hi)
+    violations = tuple(t for t in terms if _root_normal_form(t) is None)
+    return UniqueNFReport(max_size, len(terms), violations)
 
 
 def unique_nf_sweep(max_size: int, workers: int = 1) -> UniqueNFReport:
@@ -306,13 +301,12 @@ def _shape_targets(t: Term) -> list[tuple[str, Term]]:
     return rows
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     max_size: int
-    instances: Counter = field(default_factory=Counter)  # shape -> instances
-    mismatches: list[tuple[str, Term]] = field(default_factory=list)
+    instances: Counter = Counter()  # shape -> instances
+    mismatches: tuple[tuple[str, Term], ...] = ()
     vacuous_checked: int = 0
-    vacuous_violations: list[Term] = field(default_factory=list)
+    vacuous_violations: tuple[Term, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -335,13 +329,16 @@ class CoverageReport:
 
 
 def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
-    report = CoverageReport(max_size)
+    instances: Counter = Counter()
+    mismatches = []
+    vacuous_checked = 0
+    vacuous_violations = []
     for t in enumerate_terms(max_size, lo, hi):
         if t.rec_taus:  # kappa_m(t) is nonempty
-            report.vacuous_checked += 1
+            vacuous_checked += 1
             blocked = _node("eqw", (t, t))
             if _root_rewrites(blocked, True):
-                report.vacuous_violations.append(blocked)
+                vacuous_violations.append(blocked)
         rows = _shape_targets(t)
         if not rows:
             continue
@@ -349,10 +346,12 @@ def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
         if not rewrites:
             continue  # guard-blocked instance, shape not realized here
         for shape, target in rows:
-            report.instances[shape] += 1
+            instances[shape] += 1
             if any(result != target for _, result in rewrites):
-                report.mismatches.append((shape, t))
-    return report
+                mismatches.append((shape, t))
+    return CoverageReport(
+        max_size, instances, tuple(mismatches), vacuous_checked, tuple(vacuous_violations)
+    )
 
 
 def root_coverage_sweep(max_size: int, workers: int = 1) -> CoverageReport:
@@ -374,8 +373,7 @@ class FuelExhaustedError(RuntimeError):
     """A non-join reduct did not reach its normal form within the fuel."""
 
 
-@dataclass(frozen=True)
-class NonJoinWitness:
+class NonJoinWitness(NamedTuple):
     source: Term
     reduct_refl: Term
     reduct_diff: Term

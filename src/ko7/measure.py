@@ -16,7 +16,6 @@ decided each rule instance.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .rewrite import StepWitness, _root_rewrites, delta_flag
@@ -104,11 +103,10 @@ def deciding_component(after: Measure3, before: Measure3) -> str | None:
     return "tau" if after.tau < before.tau else None
 
 
-@dataclass
-class DecreaseReport:
+class DecreaseReport(NamedTuple):
     max_size: int
-    violations: list[StepWitness] = field(default_factory=list)
-    decisions: Counter = field(default_factory=Counter)  # (rule, component) -> instances
+    violations: tuple[StepWitness, ...] = ()
+    decisions: Counter = Counter()  # (rule, component) -> instances
 
     @property
     def checked(self) -> int:
@@ -149,7 +147,8 @@ class DecreaseReport:
 def _decrease_chunk(max_size: int, lo: int, hi: int) -> DecreaseReport:
     """Each guarded root rewrite of each term in the slice; a StepWitness
     is built only for a violation."""
-    report = DecreaseReport(max_size)
+    violations = []
+    decisions: Counter = Counter()
     for t in enumerate_terms(max_size, lo, hi):
         rewrites = _root_rewrites(t, True)
         if not rewrites:
@@ -158,10 +157,10 @@ def _decrease_chunk(max_size: int, lo: int, hi: int) -> DecreaseReport:
         for rule, result in rewrites:
             component = deciding_component(measure3(result), before)
             if component is None:
-                report.violations.append(StepWitness(rule, (), t, result))
+                violations.append(StepWitness(rule, (), t, result))
             else:
-                report.decisions[rule.value, component] += 1
-    return report
+                decisions[rule.value, component] += 1
+    return DecreaseReport(max_size, tuple(violations), decisions)
 
 
 def decrease_sweep(max_size: int, workers: int = 1) -> DecreaseReport:

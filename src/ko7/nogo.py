@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .measure import Measure3, measure3
 from .rewrite import (
@@ -76,8 +75,7 @@ def render_value(value: Any):
     return value
 
 
-@dataclass(frozen=True)
-class MeasureFamily:
+class MeasureFamily(NamedTuple):
     """A candidate termination measure: valuation plus strict order."""
 
     name: str
@@ -87,8 +85,7 @@ class MeasureFamily:
     focus: tuple[RuleId, ...] = ()
 
 
-@dataclass(frozen=True)
-class LinearInterpretation:
+class LinearInterpretation(NamedTuple):
     """M(K(t1..tn)) = const_K + sum coef_K,i * M(ti), coefficients >= 1."""
 
     coefs: tuple[tuple[int, ...], ...]  # per kind, in KINDS order
@@ -223,8 +220,7 @@ def canonical_family() -> MeasureFamily:
     )
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     family: str
     witness: StepWitness
     value_before: Any
@@ -244,8 +240,7 @@ class CounterexampleReport:
         return base
 
 
-@dataclass
-class HuntReport:
+class HuntReport(NamedTuple):
     family: str
     relation: str
     max_size: int
@@ -317,8 +312,7 @@ def find_violation(
 # nesting depth cannot restore a strict drop.
 
 
-@dataclass(frozen=True)
-class DepthTieReport:
+class DepthTieReport(NamedTuple):
     witness: StepWitness
     depth: int
     constants: tuple[int, ...]
@@ -342,12 +336,11 @@ def duplication_depth_tie(
 # Duplication stress identity for the additive node count.
 
 
-@dataclass
-class StressReport:
+class StressReport(NamedTuple):
     max_size: int
     instances: int = 0
     fitted_offset: Optional[int] = None
-    failures: list[StepWitness] = field(default_factory=list)
+    failures: tuple[StepWitness, ...] = ()
     strict_drops: int = 0
     min_growth: Optional[int] = None
 
@@ -380,22 +373,24 @@ def duplication_stress(max_size: int = 7) -> StressReport:
     The offset is fitted from the scan rather than assumed: for node count
     the growth equals the step operand's size exactly, so no rec_succ
     instance ever drops."""
-    report = StressReport(max_size)
+    instances = strict_drops = 0
+    fitted_offset = min_growth = None
+    failures = []
     for w in iter_witnesses(RelationKind.FULL_ROOT, max_size):
         if w.rule is not RuleId.REC_SUCC:
             continue
-        report.instances += 1
+        instances += 1
         step_size = size(w.source.children[1])
         diff = size(w.result) - size(w.source)
         offset = diff - step_size
-        if report.fitted_offset is None:
-            report.fitted_offset = offset
-        elif offset != report.fitted_offset:
-            report.failures.append(w)
+        if fitted_offset is None:
+            fitted_offset = offset
+        elif offset != fitted_offset:
+            failures.append(w)
         if diff < 0:
-            report.strict_drops += 1
-        report.min_growth = diff if report.min_growth is None else min(report.min_growth, diff)
-    return report
+            strict_drops += 1
+        min_growth = diff if min_growth is None else min(min_growth, diff)
+    return StressReport(max_size, instances, fitted_offset, tuple(failures), strict_drops, min_growth)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +458,7 @@ def _orienting_orders(
         yield order, orients
 
 
-@dataclass(frozen=True)
-class LpoReport:
+class LpoReport(NamedTuple):
     """The external-boundary demonstration: full LPO (with its universal
     subterm clause) orients the kernel, while head precedence alone has a
     concrete counterexample."""
@@ -578,8 +572,7 @@ SCAN_RESISTANT_INTERPRETATION = LinearInterpretation(
 )
 
 
-@dataclass
-class PolyReport:
+class PolyReport(NamedTuple):
     coef_bound: int
     space_size: int
     orienting_assignments: int
@@ -687,8 +680,7 @@ def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
     )
 
 
-@dataclass
-class KboReport:
+class KboReport(NamedTuple):
     weight_bound: int
     assignments_checked: int
     orienting_assignments: int

@@ -9,8 +9,8 @@ termination claim, so normalize_full takes a fuel budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .measure import Measure3, lex3_less, measure3
 from .rewrite import StepWitness, _full_steps, root_steps_safe
@@ -34,15 +34,13 @@ class TargetNotNormalError(TermError):
     """Reachability target is not a normal form of the guarded relation."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     witness: StepWitness
     before: Measure3
     after: Measure3
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     source: Term
     steps: tuple[TraceStep, ...]
     final_term: Term
@@ -62,8 +60,7 @@ class Trace:
         }
 
 
-@dataclass(frozen=True)
-class FullRunResult:
+class FullRunResult(NamedTuple):
     """Outcome of a fueled run under the full context relation."""
 
     normalized: bool

@@ -26,8 +26,7 @@ rules carry no flag condition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .terms import Position, Term, VOID, _node, replace_at, term_to_json
 
@@ -58,8 +57,7 @@ class RelationKind(enum.Enum):
     FULL_CTX = "full-ctx"
 
 
-@dataclass(frozen=True)
-class StepWitness:
+class StepWitness(NamedTuple):
     """One rewrite event: result = replace_at(source, position, rhs)."""
 
     rule: RuleId

@@ -2,15 +2,16 @@
 worker processes.
 
 `run_sweep` partitions the term enumeration into contiguous chunks, runs
-them on worker processes, and merges the partial reports in chunk order
-by one rule for every report, so output is identical for any worker count
-and no report merges itself.  With more than one worker there are
-CHUNKS_PER_WORKER chunks per worker: the cost per term grows with its
-size, so equal slices of the enumeration are far from equal work, and
-finer chunks let the workers balance the heavy tail.  Chunks are handed
-out last first: the tail of the top size bucket (its rec and eqw terms)
-is the heaviest work, and started last it would leave one worker running
-alone at the end.  Each chunk enumerates only its own slice.
+them on worker processes, and merges the partial reports (NamedTuples) in
+chunk order by one rule for every report, each field with a default
+summed, so output is identical for any worker count and no report merges
+itself.  With more than one worker there are CHUNKS_PER_WORKER chunks per
+worker: the cost per term grows with its size, so equal slices of the
+enumeration are far from equal work, and finer chunks let the workers
+balance the heavy tail.  Chunks are handed out last first: the tail of
+the top size bucket (its rec and eqw terms) is the heaviest work, and
+started last it would leave one worker running alone at the end.  Each
+chunk enumerates only its own slice.
 
 The parent forks the workers itself.  Before it forks, it writes every
 chunk index, last first, into one pipe as a fixed-width record and closes
@@ -35,7 +36,6 @@ subcommands may use (default 1: serial).
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, fields
 from typing import Callable, NoReturn, TypeVar
 
 from .terms import _collector_paused, count_terms
@@ -51,15 +51,20 @@ _MAX_WORKERS = 4096 // (_RECORD * CHUNKS_PER_WORKER)
 
 
 def resolve_workers() -> int:
-    """KO7_WORKERS capped at the CPU count; 1 when unset, not an integer,
-    or below 1, and 1 where os.fork is missing."""
+    """KO7_WORKERS capped at the CPUs this process may run on (its affinity
+    mask where the platform has one, else the CPU count); 1 when unset, not
+    an integer, or below 1, and 1 where os.fork is missing."""
     if not hasattr(os, "fork"):
         return 1
     try:
         cap = int(os.environ.get("KO7_WORKERS", "1"))
     except ValueError:
         return 1
-    return max(1, min(cap, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cap, cpus))
 
 
 def _paused_chunk(chunk_fn: Callable[..., R], *task) -> R:
@@ -79,8 +84,8 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
     only when workers are forked, by the rule the CLI keeps too: each `ko7`
     command is a fresh process, and it loads only the modules that it runs.
 
-    A report is a dataclass, and the merge rule is one for all of them: a
-    field with a default (a count, a Counter or a list) is summed with `+`
+    A report is a NamedTuple, and the merge rule is one for all of them: a
+    field with a default (a count, a Counter or a tuple) is summed with `+`
     in slice order, and a field without one (max_size, relation)
     identifies the sweep and is the same in every slice."""
     total = count_terms(max_size)
@@ -98,12 +103,12 @@ def run_sweep(chunk_fn: Callable[..., R], max_size: int, workers: int, *args) ->
         parts = [_paused_chunk(chunk_fn, *tasks[0])]
     else:
         parts = _run_forked(chunk_fn, tasks, min(workers, chunks))
-    report = parts[0]
-    for f in fields(report):
-        if f.default is not MISSING or f.default_factory is not MISSING:
-            values = [getattr(part, f.name) for part in parts]
-            setattr(report, f.name, sum(values[1:], values[0]))
-    return report
+    first = parts[0]
+    sums = {}
+    for name in first._field_defaults:
+        values = [getattr(part, name) for part in parts]
+        sums[name] = sum(values[1:], values[0])
+    return first._replace(**sums)
 
 
 def _run_forked(chunk_fn: Callable[..., R], tasks: list[tuple], workers: int) -> list[R]:

@@ -59,7 +59,7 @@ class _Criterion:
 def test_criterion_1_decrease_sweep():
     with _Criterion(1, "per-step measure decrease at size <= 7", 60):
         report = decrease_sweep(7)
-        assert report.violations == []
+        assert report.violations == ()
         assert report.checked > 0
         by_rule = report.by_rule
         assert set(by_rule["rec_succ"]) == {"dflag"}
@@ -115,13 +115,13 @@ def test_criterion_3_non_join_witness(capsys):
 def test_criterion_4_local_confluence_and_newman():
     with _Criterion(4, "local joins and unique normal forms", 120):
         root = local_join_sweep(6, RelationKind.SAFE_ROOT, budget=100)
-        assert root.violations == [] and root.inconclusive == []
+        assert root.violations == () and root.inconclusive == ()
         assert root.joined == root.forks_checked
         ctx = local_join_sweep(5, RelationKind.SAFE_CTX, budget=200)
-        assert ctx.violations == [] and ctx.inconclusive == []
+        assert ctx.violations == () and ctx.inconclusive == ()
         assert ctx.joined == ctx.forks_checked
         unique = unique_nf_sweep(7)
-        assert unique.violations == []
+        assert unique.violations == ()
         assert unique.terms_checked == len(enumerate_terms(7))
 
 
@@ -139,9 +139,9 @@ def test_criterion_5_root_shape_coverage():
             "eqw-refl",
         ):
             assert report.instances.get(shape, 0) >= 1, shape
-        assert report.mismatches == []
+        assert report.mismatches == ()
         assert report.vacuous_checked >= 1
-        assert report.vacuous_violations == []
+        assert report.vacuous_violations == ()
 
 
 def test_criterion_6_nogo_catalog():

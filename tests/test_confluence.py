@@ -147,12 +147,12 @@ class TestCoverage:
             "eqw-refl",
         ):
             assert report.instances.get(shape, 0) >= 1, shape
-        assert report.mismatches == []
+        assert report.mismatches == ()
 
     def test_blocked_eqw_instances_have_no_safe_steps(self):
         report = root_coverage_sweep(6)
         assert report.vacuous_checked >= 1
-        assert report.vacuous_violations == []
+        assert report.vacuous_violations == ()
 
     def test_workers_do_not_change_report(self):
         serial = root_coverage_sweep(6)

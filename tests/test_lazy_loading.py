@@ -41,12 +41,13 @@ NAMES = [
 def _loaded(code: str, *argv: str) -> dict:
     """Run `code` in a fresh interpreter that imports `ko7` from this tree,
     with sys.argv[1:] = argv and one serial worker: its exit code, and the
-    `ko7` modules, `json` and `concurrent.futures` that were loaded when it
-    ended."""
+    `ko7` modules, `json`, `concurrent.futures`, `dataclasses` and
+    `inspect` that were loaded when it ended."""
     probe = (
         "import atexit, sys\n"
+        "probed = ('json', 'concurrent.futures', 'dataclasses', 'inspect')\n"
         "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('ko7')\n"
-        "    or m in ('json', 'concurrent.futures')), file=sys.stderr))\n"
+        "    or m in probed), file=sys.stderr))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe + code, *argv],

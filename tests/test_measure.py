@@ -259,7 +259,7 @@ class TestDecreaseSweep:
         report = decrease_sweep(6)
         assert report.ok
         assert report.checked > 0
-        assert report.violations == []
+        assert report.violations == ()
 
     def test_component_accounting(self):
         report = decrease_sweep(6)

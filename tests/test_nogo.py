@@ -308,7 +308,7 @@ class TestDuplicationStress:
         report = duplication_stress(7)
         assert report.instances == 40
         assert report.fitted_offset == 0
-        assert report.failures == []
+        assert report.failures == ()
         assert report.strict_drops == 0
         assert report.min_growth == 1
 

@@ -1,5 +1,7 @@
 """Rules the library's source keeps.  No verdict may rest on an `assert`:
 `python -O` removes every one, so a check written as one vanishes there.
+Every value type is a NamedTuple, so no module imports `dataclasses`, which
+would load it and `inspect` into every command that imports the module.
 Only the CLI writes to stdout or stderr, so what a command prints, and its
 goldens, are the CLI's alone."""
 
@@ -20,6 +22,17 @@ def _nodes():
 
 def test_no_assert_statement_in_the_library():
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _imports_dataclasses(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "dataclasses" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+
+
+def test_no_dataclasses_import_in_the_library():
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if _imports_dataclasses(node)]
     assert found == []
 
 

@@ -29,28 +29,31 @@ from ko7.terms import VOID, Term, count_terms, enumerate_terms, eqw
 def unique_nf_oracle(max_size: int) -> UniqueNFReport:
     """Every guarded-root reduct of every term, explored breadth-first, and
     the normalizer's normal form among them."""
-    report = UniqueNFReport(max_size)
+    checked = 0
+    violations = []
     for t in enumerate_terms(max_size):
-        report.terms_checked += 1
+        checked += 1
         terminals = guarded_root_normal_forms(t)
         if len(terminals) != 1 or normalize_safe(t).final_term not in terminals:
-            report.violations.append(t)
-    return report
+            violations.append(t)
+    return UniqueNFReport(max_size, checked, tuple(violations))
 
 
 def local_join_oracle(max_size: int, relation: RelationKind, budget: int) -> SweepReport:
     """A join search for every fork of every term."""
-    report = SweepReport(relation.value, max_size)
+    checked = 0
+    violations = []
+    inconclusive = []
     for t in enumerate_terms(max_size):
         for fork in forks(t, relation):
-            report.forks_checked += 1
+            checked += 1
             if joinable(fork.left.result, fork.right.result, relation, budget).joined:
                 continue
             if relation is RelationKind.SAFE_ROOT:
-                report.violations.append(fork)
+                violations.append(fork)
             else:
-                report.inconclusive.append(fork)
-    return report
+                inconclusive.append(fork)
+    return SweepReport(relation.value, max_size, checked, tuple(inconclusive), tuple(violations))
 
 
 def _reconstruct_oracle(parents: dict, term):
@@ -192,7 +195,7 @@ def test_every_fork_pass_builds_witnesses_only_for_a_fork(built):
 def _same_join(u, v, relation: RelationKind, budget: int) -> bool:
     want = joinable_oracle(u, v, relation, budget)
     got = joinable(u, v, relation, budget)
-    return got == want  # a dataclass ==: every field, exhausted included
+    return got == want  # a NamedTuple ==: every field, exhausted included
 
 
 @pytest.mark.parametrize("budget", range(4))
@@ -249,7 +252,7 @@ def test_decrease_violations_are_the_root_witnesses(monkeypatch, max_size):
     want = [w for t in enumerate_terms(max_size) for w in root_steps_safe(t)]
     assert want
     report = measure._decrease_chunk(max_size, 0, count_terms(max_size))
-    assert report.violations == want
+    assert report.violations == tuple(want)
     assert report.checked == len(want)
     assert not report.decided_by and not report.by_rule
 

@@ -5,9 +5,9 @@ import signal
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -37,24 +37,39 @@ def test_resolve_workers_falls_back_to_one(monkeypatch, value):
     assert resolve_workers() == 1
 
 
+def _mask(monkeypatch, cpus: int) -> None:
+    """Run resolve_workers as if this process may use `cpus` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def test_resolve_workers_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setenv("KO7_WORKERS", "99")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _mask(monkeypatch, 3)
     assert resolve_workers() == 3
 
 
-@dataclass
-class _Slices:
-    slices: list = field(default_factory=list)
+def test_resolve_workers_is_capped_at_the_cpus_this_process_may_use(monkeypatch):
+    # pinned to one CPU of four, a process runs one worker at a time
+    monkeypatch.setenv("KO7_WORKERS", "4")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _mask(monkeypatch, 1)
+    assert resolve_workers() == 1
+    # without an affinity mask, the CPU count caps
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers() == 4
+
+
+class _Slices(NamedTuple):
+    slices: tuple = ()
 
 
 def _slice_chunk(max_size, lo, hi, tag):
-    return _Slices([(max_size, lo, hi, tag)])
+    return _Slices(((max_size, lo, hi, tag),))
 
 
 def test_run_sweep_merges_contiguous_slices_in_order():
     total = count_terms(5)
-    assert run_sweep(_slice_chunk, 5, 1, "t").slices == [(5, 0, total, "t")]
+    assert run_sweep(_slice_chunk, 5, 1, "t").slices == ((5, 0, total, "t"),)
     pooled = run_sweep(_slice_chunk, 5, 2, "t").slices
     assert len(pooled) == 2 * CHUNKS_PER_WORKER
     assert pooled[0][1] == 0 and pooled[-1][2] == total
@@ -73,7 +88,7 @@ _ORDER = itertools.count()
 
 def _order_chunk(max_size, lo, hi):
     # a forked worker counts on from the parent's count, one per chunk it runs
-    return _Slices([(os.getpid(), next(_ORDER), lo)])
+    return _Slices(((os.getpid(), next(_ORDER), lo),))
 
 
 def test_run_sweep_submits_last_slice_first():
@@ -89,7 +104,7 @@ def test_run_sweep_submits_last_slice_first():
 
 
 def _collector_chunk(max_size, lo, hi):
-    return _Slices([gc.isenabled()])
+    return _Slices((gc.isenabled(),))
 
 
 class _ChunkFailed(Exception):
@@ -103,13 +118,13 @@ def _failing_chunk(max_size, lo, hi):
 
 
 def test_every_pooled_chunk_runs_with_the_collector_paused():
-    assert run_sweep(_collector_chunk, 5, 2).slices == [False] * (2 * CHUNKS_PER_WORKER)
+    assert run_sweep(_collector_chunk, 5, 2).slices == (False,) * (2 * CHUNKS_PER_WORKER)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_sweep_pauses_the_collector_and_puts_it_back(collector, workers):
     chunks = 1 if workers == 1 else workers * CHUNKS_PER_WORKER
-    assert run_sweep(_collector_chunk, 5, workers).slices == [False] * chunks
+    assert run_sweep(_collector_chunk, 5, workers).slices == (False,) * chunks
     assert gc.isenabled() is collector
 
 
@@ -165,7 +180,7 @@ def test_no_worker_or_pipe_outlives_a_failed_sweep(monkeypatch, way_out):
 
 def test_resolve_workers_is_one_without_fork(monkeypatch):
     monkeypatch.setenv("KO7_WORKERS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _mask(monkeypatch, 2)
     assert resolve_workers() == 2
     monkeypatch.delattr(os, "fork")
     assert resolve_workers() == 1
@@ -229,16 +244,15 @@ def test_sweeps_and_the_full_reducer_leave_no_cyclic_garbage():
         assert gc.collect() == 0
 
 
-@dataclass
-class _Tally:
+class _Tally(NamedTuple):
     name: str
     count: int = 0
-    items: list = field(default_factory=list)
-    kinds: Counter = field(default_factory=Counter)
+    items: tuple = ()
+    kinds: Counter = Counter()
 
 
 def _tally_chunk(max_size, lo, hi):
-    return _Tally(f"size {max_size}", hi - lo, [lo], Counter({lo % 2: 1, "all": hi - lo}))
+    return _Tally(f"size {max_size}", hi - lo, (lo,), Counter({lo % 2: 1, "all": hi - lo}))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -248,7 +262,7 @@ def test_run_sweep_sums_every_defaulted_field_in_slice_order(workers):
     starts = [s[1] for s in run_sweep(_slice_chunk, 5, workers, "t").slices]
     assert merged.name == "size 5"
     assert merged.count == total
-    assert merged.items == starts
+    assert merged.items == tuple(starts)
     evens = sum(1 for lo in starts if lo % 2 == 0)
     assert merged.kinds == Counter({0: evens, 1: len(starts) - evens, "all": total})
 
@@ -256,6 +270,22 @@ def test_run_sweep_sums_every_defaulted_field_in_slice_order(workers):
 def test_no_sweep_report_merges_itself():
     reports = (DecreaseReport, SweepReport, UniqueNFReport, CoverageReport)
     assert not any(hasattr(report, "merge") for report in reports)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_reports_are_values(workers):
+    # a chunk builds its report once, the merge builds a new one, and
+    # neither writes to a report or to a field's default
+    reports = {
+        "decisions": decrease_sweep(6, workers=workers),
+        "instances": confluence.root_coverage_sweep(6, workers=workers),
+    }
+    assert DecreaseReport._field_defaults["decisions"] == Counter()
+    assert CoverageReport._field_defaults["instances"] == Counter()
+    for name, report in reports.items():
+        assert getattr(report, name)
+        with pytest.raises(AttributeError):
+            setattr(report, name, Counter())
 
 
 @pytest.fixture
