@@ -4,7 +4,12 @@ Terms are quoted S-expressions.  Exit status: 0 for success and expected
 verdicts, 1 for check violations or exhausted fuel, 2 for usage, parse or
 output errors (a negative fuel or budget, or a term nested too deeply to
 process, is a usage error; a closed stdout is an output error).  `--json`
-switches any subcommand to its documented JSON form.
+switches any subcommand to its documented JSON form.  Every handler
+prints through `_emit`, handing it both forms unbuilt.  Printing text
+walks no recursion, so the depth a command refuses is set by what still
+recurses: the JSON encoder (about 490 levels), a node's first measure in
+`measure` and the safe normalizer (about 990), and `==` between two deep
+subterms that a rule compares (`merge t t`, `eqw t t`; about 330).
 
 Each handler imports the modules it calls, and `json` is imported only
 under `--json`: every command is a fresh process, which would otherwise
@@ -42,27 +47,23 @@ class InputError(ValueError):
     not a term."""
 
 
-def _print_json(args, payload: Callable[[], dict]) -> bool:
-    """Under --json, print the JSON of `payload()` and return True; else
-    print nothing and return False, and the caller prints its text form.
-    Only the form printed is built: a full run's payload holds every
-    step's two terms, and the text renders terms, recursing on their
-    depth.  The caller renders the text in its own frame, not in a
-    callback from here: each frame a callback adds would lower the depth of
-    the deepest term the text form can print."""
-    if not args.json:
-        return False
-    import json
+def _emit(args, payload: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
+    """Print one result: under --json the JSON of `payload()`, else
+    `lines()` joined by newlines.  The only writer of stdout.  Only the
+    printed form is built: a full run's payload holds every step's two
+    terms, and its text renders every step."""
+    if args.json:
+        import json
 
-    print(json.dumps(payload(), sort_keys=True))
-    return True
+        print(json.dumps(payload(), sort_keys=True))
+    else:
+        print("\n".join(lines()))
 
 
 def _emit_report(args, report, lines: Callable[[], list[str]]) -> int:
     """Print a check report as JSON, or as `lines()` and its PASS/FAIL
     verdict, and return its exit status."""
-    if not _print_json(args, report.to_json):
-        print("\n".join([*lines(), "PASS" if report.ok else "FAIL"]))
+    _emit(args, report.to_json, lambda: [*lines(), "PASS" if report.ok else "FAIL"])
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -91,8 +92,7 @@ def _witness_line(w: rewrite.StepWitness) -> str:
 
 def _cmd_parse(args) -> int:
     for t in _read_terms(args):
-        if not _print_json(args, lambda: {"term": terms.term_to_json(t)}):
-            print(terms.render(t))
+        _emit(args, lambda: {"term": terms.term_to_json(t)}, lambda: [terms.render(t)])
     return EXIT_OK
 
 
@@ -102,9 +102,11 @@ def _cmd_step(args) -> int:
     relation = rewrite.RelationKind[_RELATIONS[args.relation]]
     for t in _read_terms(args):
         witnesses = rewrite.steps(t, relation)
-        if not _print_json(args, lambda: {"steps": [w.to_json() for w in witnesses]}):
-            lines = [_witness_line(w) for w in witnesses] or ["(no steps)"]
-            print("\n".join(lines))
+        _emit(
+            args,
+            lambda: {"steps": [w.to_json() for w in witnesses]},
+            lambda: [_witness_line(w) for w in witnesses] or ["(no steps)"],
+        )
     return EXIT_OK
 
 
@@ -123,28 +125,23 @@ def _cmd_normalize(args) -> int:
             json.dumps(terms.term_to_json(t))
         if args.relation == "safe":
             trace = normalize.normalize_safe(t)
-            if _print_json(args, trace.to_json):
-                continue
-            lines = [
-                f"{s.witness.rule.value}: {terms.render(s.witness.source)} -> "
-                f"{terms.render(s.witness.result)}   {s.before} -> {s.after}"
-                for s in trace.steps
-            ] if args.trace else []
-            lines.append(terms.render(trace.final_term))
+            _emit(args, trace.to_json, lambda: [
+                *(
+                    f"{s.witness.rule.value}: {terms.render(s.witness.source)} -> "
+                    f"{terms.render(s.witness.result)}   {s.before} -> {s.after}"
+                    for s in (trace.steps if args.trace else ())
+                ),
+                terms.render(trace.final_term),
+            ])
         else:
             run = normalize.normalize_full(t, fuel)
             if not run.normalized:
                 status = EXIT_VIOLATION
-            if _print_json(args, run.to_json):
-                continue
-            lines = [_witness_line(w) for w in run.steps] if args.trace else []
-            if run.normalized:
-                lines.append(terms.render(run.term))
-            else:
-                lines.append(
-                    f"fuel exhausted after {run.steps_taken} steps at: {terms.render(run.term)}"
-                )
-        print("\n".join(lines))
+            _emit(args, run.to_json, lambda: [
+                *(_witness_line(w) for w in (run.steps if args.trace else ())),
+                terms.render(run.term) if run.normalized else
+                f"fuel exhausted after {run.steps_taken} steps at: {terms.render(run.term)}",
+            ])
     return status
 
 
@@ -153,19 +150,19 @@ def _cmd_measure(args) -> int:
 
     for t in _read_terms(args):
         m = measure.measure3(t)
-        if not _print_json(args, lambda: {"measure": m.to_json()}):
-            print(f"dflag: {m.dflag}\nkappaM: {m._kappa_text()}\ntau: {m.tau}")
+        _emit(
+            args,
+            lambda: {"measure": m.to_json()},
+            lambda: [f"dflag: {m.dflag}", f"kappaM: {m._kappa_text()}", f"tau: {m.tau}"],
+        )
     return EXIT_OK
 
 
 def _cmd_reaches(args) -> int:
     from . import normalize
 
-    t = terms.parse(args.term)
-    target = terms.parse(args.target)
-    verdict = normalize.reaches_target(t, target)
-    if not _print_json(args, lambda: {"reaches": verdict}):
-        print("true" if verdict else "false")
+    verdict = normalize.reaches_target(terms.parse(args.term), terms.parse(args.target))
+    _emit(args, lambda: {"reaches": verdict}, lambda: ["true" if verdict else "false"])
     return EXIT_OK
 
 
@@ -177,16 +174,14 @@ def _cmd_witness_nonjoin(args) -> int:
     except confluence.FuelExhaustedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VIOLATION
-    if not _print_json(args, witness.to_json):
-        lines = [
-            f"source: {terms.render(witness.source)}",
-            f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
-            f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}",
-            f"normal form A: {terms.render(witness.normal_refl)}",
-            f"normal form B: {terms.render(witness.normal_diff)}",
-            f"verdict: {witness.verdict} (budget {args.budget})",
-        ]
-        print("\n".join(lines))
+    _emit(args, witness.to_json, lambda: [
+        f"source: {terms.render(witness.source)}",
+        f"reduct A [eq_refl]: {terms.render(witness.reduct_refl)}",
+        f"reduct B [eq_diff]: {terms.render(witness.reduct_diff)}",
+        f"normal form A: {terms.render(witness.normal_refl)}",
+        f"normal form B: {terms.render(witness.normal_diff)}",
+        f"verdict: {witness.verdict} (budget {args.budget})",
+    ])
     return EXIT_OK if witness.ok else EXIT_VIOLATION
 
 
@@ -194,20 +189,16 @@ def _cmd_check_decrease(args) -> int:
     from . import measure, workers
 
     report = measure.decrease_sweep(args.max_size, workers=workers.resolve_workers())
-
-    def lines() -> list[str]:
-        d = report.decided_by
-        out = [
-            f"checked: {report.checked} guarded root instances (size <= {args.max_size})",
-            f"violations: {len(report.violations)}",
-            f"decided by: dflag={d['dflag']} kappaM={d['kappaM']} tau={d['tau']}",
-        ]
-        for rule, counts in sorted(report.by_rule.items()):
-            parts = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            out.append(f"  {rule}: {parts}")
-        return out
-
-    return _emit_report(args, report, lines)
+    d = report.decided_by
+    return _emit_report(args, report, lambda: [
+        f"checked: {report.checked} guarded root instances (size <= {args.max_size})",
+        f"violations: {len(report.violations)}",
+        f"decided by: dflag={d['dflag']} kappaM={d['kappaM']} tau={d['tau']}",
+        *(
+            f"  {rule}: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+            for rule, counts in sorted(report.by_rule.items())
+        ),
+    ])
 
 
 def _cmd_check_local_join(args) -> int:
@@ -240,28 +231,23 @@ def _cmd_check_coverage(args) -> int:
     from . import confluence, workers
 
     report = confluence.root_coverage_sweep(args.max_size, workers=workers.resolve_workers())
-
-    def lines() -> list[str]:
-        instances = report.to_json()["instances"]
-        out = [f"{shape}: {count} instance(s)" for shape, count in instances.items()]
-        out.append(f"target mismatches: {len(report.mismatches)}")
-        out.append(
-            f"guard-blocked eqw instances checked: {report.vacuous_checked}, "
-            f"violations: {len(report.vacuous_violations)}"
-        )
-        return out
-
-    return _emit_report(args, report, lines)
+    return _emit_report(args, report, lambda: [
+        *(f"{shape}: {n} instance(s)" for shape, n in report.to_json()["instances"].items()),
+        f"target mismatches: {len(report.mismatches)}",
+        f"guard-blocked eqw instances checked: {report.vacuous_checked}, "
+        f"violations: {len(report.vacuous_violations)}",
+    ])
 
 
-def _format_counterexample(
-    report: nogo.CounterexampleReport, render_value: Callable[[object], object]
-) -> str:
+def _counterexample(hunt: nogo.HuntReport) -> str:
+    from .nogo import render_value
+
+    report = hunt.counterexample
     w = report.witness
     before = render_value(report.value_before)
     after = render_value(report.value_after)
     return (
-        f"{w.rule.value} on {terms.render(w.source)}: "
+        f"counterexample: {w.rule.value} on {terms.render(w.source)}: "
         f"{before} -> {after} ({report.verdict})"
     )
 
@@ -277,16 +263,14 @@ def _cmd_check_nogo(args) -> int:
             print(f"error: unknown family {args.family!r} (one of: {names})", file=sys.stderr)
             return EXIT_USAGE
         hunt = nogo.find_violation(family, max_size=args.max_size)
-        if not _print_json(args, hunt.to_json):
-            if hunt.found:
-                found = _format_counterexample(hunt.counterexample, nogo.render_value)
-                lines = [
-                    f"counterexample: {found}",
-                    "PASS (counterexample found, as expected for this family)",
-                ]
-            else:
-                lines = [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
-            print("\n".join([f"family: {family.name}", *lines]))
+        _emit(args, hunt.to_json, lambda: [
+            f"family: {family.name}",
+            *(
+                [_counterexample(hunt), "PASS (counterexample found, as expected for this family)"]
+                if hunt.found
+                else [f"no counterexample found over {hunt.scanned} instances", "FAIL"]
+            ),
+        ])
         return EXIT_OK if hunt.found else EXIT_VIOLATION
 
     hunts = [nogo.find_violation(f, max_size=args.max_size) for f in nogo.catalog()]
@@ -294,24 +278,19 @@ def _cmd_check_nogo(args) -> int:
         nogo.canonical_family(), rewrite.RelationKind.SAFE_ROOT, args.max_size
     )
     ok = all(h.found for h in hunts) and not canonical.found
-    if _print_json(
+    verdict = "no violation" if not canonical.found else "VIOLATION"
+    _emit(
         args,
         lambda: {"families": [h.to_json() for h in hunts], "canonical": canonical.to_json()},
-    ):
-        return EXIT_OK if ok else EXIT_VIOLATION
-    lines = [
-        f"{h.family}: counterexample: "
-        f"{_format_counterexample(h.counterexample, nogo.render_value)}"
-        if h.found
-        else f"{h.family}: NO COUNTEREXAMPLE: -"
-        for h in hunts
-    ]
-    verdict = "no violation" if not canonical.found else "VIOLATION"
-    lines.append(
-        f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances"
+        lambda: [
+            *(
+                f"{h.family}: {_counterexample(h) if h.found else 'NO COUNTEREXAMPLE: -'}"
+                for h in hunts
+            ),
+            f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances",
+            "PASS" if ok else "FAIL",
+        ],
     )
-    lines.append("PASS" if ok else "FAIL")
-    print("\n".join(lines))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -319,21 +298,13 @@ def _cmd_check_lpo(args) -> int:
     from . import nogo
 
     report = nogo.lpo_boundary_report(max_size=args.max_size)
-
-    def lines() -> list[str]:
-        out = [
-            f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
-            f"first: {' < '.join(report.precedence) or '-'}",
-            f"instances checked: {report.instances_checked}",
-        ]
-        if report.rank_only.found:
-            out.append(
-                "precedence rank alone: counterexample: "
-                f"{_format_counterexample(report.rank_only.counterexample, nogo.render_value)}"
-            )
-        return out
-
-    return _emit_report(args, report, lines)
+    rank_only = report.rank_only
+    return _emit_report(args, report, lambda: [
+        f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
+        f"first: {' < '.join(report.precedence) or '-'}",
+        f"instances checked: {report.instances_checked}",
+        *([f"precedence rank alone: {_counterexample(rank_only)}"] if rank_only.found else []),
+    ])
 
 
 def _cmd_check_stress(args) -> int:

@@ -126,8 +126,10 @@ def reaches_target(t: Term, target: Term) -> bool:
     """Decide whether t reduces to `target` under the guarded root
     relation.  The target must itself be a normal form; with unique normal
     forms this is one normalization plus an equality check."""
-    if not is_normal_form_safe(target):
+    witnesses = root_steps_safe(target)
+    if witnesses:
         raise TargetNotNormalError(
-            f"target {target!r} is not a normal form of the guarded relation"
+            "target is not a normal form of the guarded relation: "
+            f"{witnesses[0].rule.value} applies at its root"
         )
     return normalize_safe(t).final_term == target

@@ -52,7 +52,7 @@ class ArityError(ParseError):
 
 class InvalidPositionError(TermError):
     def __init__(self, index: int, term: "Term"):
-        kind, arity = term.kind, len(term.children)  # not render(term): it recurses
+        kind, arity = term.kind, len(term.children)  # render(term) may be megabytes
         super().__init__(f"no child {index} at a {kind} node with {arity} children")
         self.index = index
 
@@ -227,10 +227,24 @@ def size(t: Term) -> int:
 
 
 def render(t: Term) -> str:
-    """Canonical lowercase S-expression; inverse of parse."""
-    if not t.children:
-        return t.kind
-    return "(" + t.kind + " " + " ".join(render(c) for c in t.children) + ")"
+    """Canonical lowercase S-expression; inverse of parse.  The pending
+    nodes and the literal " " and ")" wait on one explicit stack, so any
+    depth renders."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+        elif item.children:
+            out.append("(" + item.kind)
+            stack.append(")")
+            for c in reversed(item.children):
+                stack.append(c)
+                stack.append(" ")
+        else:
+            out.append(item.kind)
+    return "".join(out)
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
@@ -463,13 +477,18 @@ def term_to_json(t: Term) -> dict:
 
 def _json_frame(obj) -> tuple[str, list, list[Term]]:
     """(kind, JSON children, children built so far) for one JSON term;
-    TermError when `obj` is not shaped like one."""
-    if not (isinstance(obj, dict) and isinstance(obj.get("k"), str)):
-        raise TermError(f"a JSON term is an object with a string 'k', got {obj!r:.60}")
-    children = obj.get("c", [])
-    if not isinstance(children, list):
-        raise TermError(f"the 'c' of a JSON term is a list, got {children!r:.60}")
-    return obj["k"], children, []
+    TermError when `obj` is not shaped like one, showing the offending
+    value by `reprlib`, which reads only its first levels and items."""
+    if isinstance(obj, dict) and isinstance(obj.get("k"), str):
+        children = obj.get("c", [])
+        if isinstance(children, list):
+            return obj["k"], children, []
+        what, bad = "the 'c' of a JSON term is a list", children
+    else:
+        what, bad = "a JSON term is an object with a string 'k'", obj
+    import reprlib
+
+    raise TermError(f"{what}, got {reprlib.repr(bad):.60}")
 
 
 def term_from_json(obj: dict) -> Term:

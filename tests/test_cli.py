@@ -171,6 +171,16 @@ class TestReaches:
         assert status == 2
         assert "normal form" in err
 
+    def test_a_deep_non_normal_target_is_named_by_its_rule(self, run):
+        # the message names the rule, not the 2 000-deep target
+        target = "(merge void " + "(delta " * 2000 + "void" + ")" * 2000 + ")"
+        status, out, err = run("reaches", "void", target)
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: target is not a normal form of the guarded relation: "
+            "merge_void_left applies at its root\n"
+        )
+
 
 class TestWitnessNonjoin:
     def test_golden_output(self, run):
@@ -554,8 +564,9 @@ class TestGoldens:
 
 class TestUsage:
     def test_too_deep_term_exits_2(self, run):
+        # a node's first measure still recurses on its depth
         depth = sys.getrecursionlimit()
-        status, out, err = run("parse", "(delta " * depth + "void" + ")" * depth)
+        status, out, err = run("measure", "(delta " * depth + "void" + ")" * depth)
         assert status == 2
         assert out == ""
         assert "error: term too deep" in err
@@ -619,17 +630,14 @@ def _chain(depth: int) -> str:
 
 
 # The deepest chain `rec void void δ^n void` that each command takes in a
-# fresh `python -m ko7.cli` process, bisected with one process per probe.
-# A text form renders the term, which recurses; under --json no text is
-# built, and the JSON encoder's nesting sets the depth.  `measure` renders
-# nothing in either form.  A refusal depth may rise, never fall.
+# fresh `python -m ko7.cli` process, bisected with one process per probe,
+# for the commands that still walk the term by recursion.  `measure` and
+# the safe normalizer's `measure3` reach `Term._fill`, which recurses on
+# the first measure of a node; under --json the encoder's nesting comes
+# first, except for `measure`, whose payload holds no term.  A refusal
+# depth may rise, never fall.
 DEEPEST = [
-    (("parse", "T"), 330),
-    (("step", "T"), 329),
-    (("step", "T", "--relation", "full-ctx"), 329),
-    (("normalize", "T"), 330),
-    (("normalize", "T", "--relation", "full"), 331),
-    (("normalize", "T", "--relation", "full", "--trace"), 329),
+    (("normalize", "T"), 989),
     (("measure", "T"), 990),
     (("--json", "parse", "T"), 492),
     (("--json", "step", "T"), 491),
@@ -659,6 +667,29 @@ def test_the_deepest_chain_a_command_takes(argv, depth):
         ).returncode
 
     assert (status(depth), status(depth + 1)) == (0, 2)
+
+
+_NORMAL_FORM = "(app void " * 1_000 + "void" + ")" * 1_000
+
+# The text forms walk the term by loops only: the chain a command takes,
+# the lines it prints, and how its last line starts.  The trace's text
+# grows with the square of the depth.
+TEXT_DEPTHS = [
+    (("parse", "T"), 10_000, 1, _chain(10_000)),
+    (("step", "T"), 10_000, 1, "rec_succ @ [] -> (app void (rec void void (delta "),
+    (("step", "T", "--relation", "full-ctx"), 10_000, 1, "rec_succ @ [] -> (app void "),
+    (("normalize", "T", "--relation", "full"), 1_000, 1, _NORMAL_FORM),
+    (("normalize", "T", "--relation", "full", "--trace"), 1_000, 1_002, _NORMAL_FORM),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, depth, lines, last", TEXT_DEPTHS, ids=[" ".join(c[0]) for c in TEXT_DEPTHS]
+)
+def test_a_text_form_takes_a_deep_chain(run, argv, depth, lines, last):
+    status, out, err = run(*(_chain(depth) if a == "T" else a for a in argv))
+    assert (status, err, out.count("\n")) == (0, "", lines)
+    assert out.splitlines()[-1].startswith(last)
 
 
 def test_json_normalize_refuses_a_chain_too_deep_to_print_before_the_run(run, monkeypatch):

@@ -29,18 +29,18 @@ def test_one_command_per_family_matches_itself():
 
 def test_the_matrix():
     matrix = list(tool.commands(8))
-    assert len(matrix) == len(set(matrix)) == 718
+    assert len(matrix) == len(set(matrix)) == 762
     assert sum(c.family == "check lpo" for c in matrix) == 12  # sizes 1..6, text and json
     assert sum(c.family == "usage" for c in matrix) == 12  # six errors, text and json
     assert sum(c.family == "help" for c in matrix) == 16  # ko7, 8 subcommands, 7 checks
-    chains = [c for c in matrix if c.family == "parse" and "(delta " * 332 in c.argv[-1]]
-    assert len(chains) == 2
+    chains = [c for c in matrix if c.family == "parse" and "(delta " * 492 in c.argv[-1]]
+    assert len(chains) == 8  # depths 492, 493, 992 and 993, text and json
 
 
 def test_a_deep_term_is_refused_alike():
-    # depth 332 is past what `parse` accepts: both runs exit 2 with the
-    # same message, which is no difference
-    command = tool.Command("parse", ("parse", tool.TERMS[-1]), 1)
+    # depth 993 is past what the JSON encoder takes: both runs exit 2
+    # with the same message, which is no difference
+    command = tool.Command("parse", ("--json", "parse", tool.TERMS[-1]), 1)
     outcome = tool.run(SRC, command)
     assert outcome.code == 2 and outcome.stderr.startswith("error: term too deep")
     assert tool.difference(outcome, tool.run(SRC, command)) is None

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import reprlib
 from functools import lru_cache
 
 import pytest
@@ -114,6 +115,13 @@ def reference_replace_at(t: Term, position, replacement: Term) -> Term:
 def reference_size(t: Term) -> int:
     """Reference oracle: the plain recursive node count."""
     return 1 + sum(reference_size(c) for c in t.children)
+
+
+def reference_render(t: Term) -> str:
+    """Reference oracle: the plain recursive S-expression."""
+    if not t.children:
+        return t.kind
+    return "(" + t.kind + " " + " ".join(reference_render(c) for c in t.children) + ")"
 
 
 def reference_positions(t: Term):
@@ -360,6 +368,14 @@ class TestParseRender:
         assert render(merge(VOID, VOID)) == "(merge void void)"
         assert render(eqw(VOID, VOID)) == "(eqw void void)"
 
+    def test_render_matches_reference_on_enumerated_terms(self):
+        for t in enumerate_terms(7):
+            assert render(t) == reference_render(t)
+
+    @given(random_terms)
+    def test_render_matches_reference_on_random_terms(self, t):
+        assert render(t) == reference_render(t)
+
     def test_whitespace_tolerant(self):
         assert parse("  ( merge   void\n void )  ") == merge(VOID, VOID)
 
@@ -418,12 +434,16 @@ class TestParseRender:
     def test_any_depth_parses(self):
         depth = 100_000
         t = parse("(delta " * depth + "void" + ")" * depth)
-        # size, hash and render still recurse: walk the chain by a loop
+        # size and hash still recurse: walk the chain by a loop
         chain = 0
         while t.kind == "delta":
             (t,) = t.children
             chain += 1
         assert (chain, t) == (depth, VOID)
+
+    def test_any_depth_renders(self):
+        text = "(rec void void " + "(delta " * 100_000 + "void" + ")" * 100_000 + ")"
+        assert render(parse(text)) == text
 
 
 class TestSize:
@@ -571,7 +591,7 @@ class TestPositions:
         chain = VOID
         for _ in range(2000):
             chain = delta(chain)
-        t = rec(VOID, VOID, chain)  # deeper than render can recurse
+        t = rec(VOID, VOID, chain)  # the message must not hold the term
         for bad in (subterm_at, lambda t, p: replace_at(t, p, VOID)):
             with pytest.raises(InvalidPositionError) as err:
                 bad(t, (5,))
@@ -628,6 +648,7 @@ class TestJson:
             {"k": "delta", "c": "ab"},
             {"k": "delta", "c": [5]},
             {"k": ["void"]},
+            {"k": 5, "c": []},
             {"k": "delta", "c": [{"k": "nonsense"}]},
             {"k": "merge", "c": [{"k": "void"}]},
             # two errors: the child's is met first
@@ -642,6 +663,20 @@ class TestJson:
         with pytest.raises(TermError) as want:
             reference_term_from_json(obj)
         assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda deep: {"k": 5, "c": [deep]}, lambda deep: {"k": "delta", "c": (deep,)}],
+        ids=["bad k", "bad c"],
+    )
+    def test_malformed_input_holding_a_deep_term_is_a_term_error(self, wrap):
+        # the message shows the malformed value's first levels only
+        chain = VOID
+        for _ in range(5000):
+            chain = delta(chain)
+        with pytest.raises(TermError) as err:
+            term_from_json(wrap(term_to_json(chain)))
+        assert len(str(err.value)) < 120
 
     def test_matches_reference_on_enumerated_terms(self):
         for t in enumerate_terms(6):
@@ -667,7 +702,7 @@ class TestJson:
             assert node["k"] == "delta" and len(node["c"]) == 1
             node = node["c"][0]
         assert node == {"k": "void", "c": []}
-        # == and render recurse: walk the chain by a loop
+        # == recurses: walk the chain by a loop
         t = term_from_json(payload).children[2]
         for _ in range(depth):
             assert t.kind == "delta"
@@ -682,10 +717,10 @@ def reference_term_to_json(t: Term) -> dict:
 
 def reference_term_from_json(obj) -> Term:
     if not (isinstance(obj, dict) and isinstance(obj.get("k"), str)):
-        raise TermError(f"a JSON term is an object with a string 'k', got {obj!r:.60}")
+        raise TermError(f"a JSON term is an object with a string 'k', got {reprlib.repr(obj):.60}")
     children = obj.get("c", [])
     if not isinstance(children, list):
-        raise TermError(f"the 'c' of a JSON term is a list, got {children!r:.60}")
+        raise TermError(f"the 'c' of a JSON term is a list, got {reprlib.repr(children):.60}")
     return Term(obj["k"], tuple(reference_term_from_json(c) for c in children))
 
 

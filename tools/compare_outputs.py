@@ -15,7 +15,11 @@ stdout and stderr are compared.  The matrix covers, in text and `--json`:
 - `witness nonjoin` at budgets 0, 1, 2 and 1000;
 - `parse`, `step` (every relation), `normalize` (safe; full with and
   without `--trace`), `measure` and `reaches` on a fixed list of terms:
-  small ones, a malformed one, and the delta-chains of depth 331 and 332;
+  small ones, a malformed one, and delta-chains on both sides of the
+  refusal depths that remain: 492 and 493 for `--json`, 992 and 993 for
+  `normalize` (safe) and `measure` (CPython 3.11; a `-c` process holds
+  fewer frames than `python -m ko7.cli`, so these lie 1-3 deeper than
+  the CLI tests' pins);
 - usage errors: a negative `--fuel`, an unknown `--relation` or
   `--family`, no subcommand, and `--file` naming a missing file;
 - `--help` of `ko7`, of every subcommand and of every check, once.
@@ -53,8 +57,10 @@ TERMS = (
     "(app (merge void void) (eqw (integrate void) (integrate void)))",
     "(rec (eqw void void) (merge void void) (delta (rec void void void)))",
     "(merge void",
-    _chain(331),
-    _chain(332),
+    _chain(492),
+    _chain(493),
+    _chain(992),
+    _chain(993),
 )
 TARGETS = ("void", "(delta void)")
 CHECKS = ("decrease", "local-join", "unique-nf", "coverage", "nogo", "lpo", "stress")
