@@ -7,9 +7,9 @@ process, is a usage error; a closed stdout is an output error).  `--json`
 switches any subcommand to its documented JSON form.  Every handler
 prints through `_emit`, handing it both forms unbuilt.  Printing text
 walks no recursion, so the depth a command refuses is set by what still
-recurses: the JSON encoder (about 490 levels), a node's first measure in
-`measure` and the safe normalizer (about 990), and `==` between two deep
-subterms that a rule compares (`merge t t`, `eqw t t`; about 330).
+recurses: the JSON encoder (about 490 levels) and a node's first measure
+in `measure`, the safe normalizer and the guards of `merge t t` and
+`eqw t t` (about 990).
 
 Each handler imports the modules it calls, and `json` is imported only
 under `--json`: every command is a fresh process, which would otherwise

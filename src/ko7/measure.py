@@ -16,7 +16,7 @@ decided each rule instance.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .rewrite import StepWitness, _root_rewrites, delta_flag
 from .terms import Term, enumerate_terms
@@ -50,29 +50,14 @@ def dm_less(x: NatMultiset, y: NatMultiset) -> bool:
     return _descending(x) < _descending(y)
 
 
-class _Triple(NamedTuple):
+class Measure3(NamedTuple):
+    """(dflag, kappa_m, tau), kappa_m held as its elements sorted
+    descending.  Tuple `<` on two measures is then exactly the
+    triple-lexicographic order of `lex3_less` (see `dm_less`)."""
+
     dflag: int
-    kappa_desc: tuple[int, ...]  # the elements of kappa_m, sorted descending
+    kappa_desc: tuple[int, ...]
     tau: int
-
-
-class Measure3(_Triple):
-    """(dflag, kappa_m, tau) as a tuple, kappa_m held as its elements
-    sorted descending.  Tuple `<` on two measures is then exactly the
-    triple-lexicographic order of `lex3_less` (see `dm_less`).
-
-    The multiset may be given as a Counter or as any iterable of its
-    elements."""
-
-    __slots__ = ()
-
-    def __new__(cls, dflag: int, kappa: NatMultiset | Iterable[int], tau: int):
-        elements = kappa.elements() if isinstance(kappa, Counter) else kappa
-        return super().__new__(cls, dflag, tuple(sorted(elements, reverse=True)), tau)
-
-    @property
-    def kappa(self) -> NatMultiset:
-        return Counter(self.kappa_desc)
 
     def to_json(self) -> list:
         return [self.dflag, list(reversed(self.kappa_desc)), self.tau]
@@ -86,7 +71,7 @@ class Measure3(_Triple):
 
 
 def measure3(t: Term) -> Measure3:
-    # tuple.__new__ skips Measure3.__new__'s Counter test: rec_taus is a tuple
+    # tuple.__new__ skips the generated __new__'s argument binding
     return tuple.__new__(Measure3, (delta_flag(t), tuple(sorted(t.rec_taus, reverse=True)), t.tau))
 
 

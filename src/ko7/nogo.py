@@ -318,18 +318,19 @@ class DepthTieReport(NamedTuple):
     constants: tuple[int, ...]
 
 
-def duplication_depth_tie(
-    max_size: int = 7, constants: tuple[int, ...] = (0, 1, 5)
-) -> DepthTieReport:
+_DEPTH_SHIFTS = (0, 1, 5)
+
+
+def duplication_depth_tie(max_size: int = 7) -> DepthTieReport:
     """First rec_succ instance whose delta-nesting depth ties exactly: the
     additive-kappa hunt's witness, as rec_succ never raises the depth.  An
     equal pair stays equal under any constant shift, so the report lists
-    the shifts it stands for without re-checking them."""
+    the shifts 0, 1 and 5 it stands for without re-checking them."""
     found = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
     tie = found.counterexample
     if tie is None or tie.witness.rule is not RuleId.REC_SUCC:
         raise RuntimeError(f"no depth-tied rec_succ instance up to size {max_size}")
-    return DepthTieReport(tie.witness, tie.value_before, constants)
+    return DepthTieReport(tie.witness, tie.value_before, _DEPTH_SHIFTS)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +489,17 @@ class LpoReport(NamedTuple):
         }
 
 
-def lpo_boundary_report(max_size: int = 5, hunt_size: int = 7) -> LpoReport:
+_RANK_HUNT_SIZE = 7
+
+
+def lpo_boundary_report(max_size: int = 5) -> LpoReport:
+    """LPO under every precedence on the full root instances up to
+    `max_size`, and the precedence-rank hunt up to `_RANK_HUNT_SIZE`."""
     instances = _rule_instances(max_size)
     verdicts = list(_orienting_orders(instances))
     orienting = [order for order, orients in verdicts if orients]
     rank_only = find_violation(
-        catalog_family("precedence-rank"), RelationKind.FULL_ROOT, hunt_size
+        catalog_family("precedence-rank"), RelationKind.FULL_ROOT, _RANK_HUNT_SIZE
     )
     first = orienting[0] if orienting else ()
     return LpoReport(first, len(orienting), len(verdicts), len(instances), rank_only)

@@ -32,7 +32,7 @@ from .terms import Position, Term, VOID, _node, replace_at, term_to_json
 
 
 class RuleId(enum.Enum):
-    # declaration order is the canonical rule order used to sort witnesses
+    # declaration order is the canonical rule order of the witnesses at one position
     MERGE_VOID_LEFT = "merge_void_left"
     MERGE_VOID_RIGHT = "merge_void_right"
     MERGE_CANCEL = "merge_cancel"
@@ -41,13 +41,6 @@ class RuleId(enum.Enum):
     INT_DELTA = "int_delta"
     EQ_REFL = "eq_refl"
     EQ_DIFF = "eq_diff"
-
-    @property
-    def index(self) -> int:
-        return _RULE_INDEX[self]
-
-
-_RULE_INDEX = {r: i for i, r in enumerate(RuleId)}
 
 
 class RelationKind(enum.Enum):

@@ -76,6 +76,9 @@ class Term:
     occurrence in pre-order (the elements of kappa_m).  Nothing is computed
     at construction: most nodes built by `replace_at` or by the no-go
     searches are never hashed or measured.
+
+    Past the recursion limit, `==` compares the two terms' constructors in
+    pre-order, on an explicit stack.
     """
 
     __slots__ = ("kind", "children", "_hash", "_size", "_tau", "_rec_taus")
@@ -119,7 +122,10 @@ class Term:
             return True
         if other.__class__ is not Term:
             return NotImplemented
-        return self.kind == other.kind and self.children == other.children
+        try:
+            return self.kind == other.kind and self.children == other.children
+        except RecursionError:  # arities are fixed, so a term's kinds in pre-order fix it
+            return [u.kind for u in subterms(self)] == [u.kind for u in subterms(other)]
 
     def _fill(self) -> None:
         """Cache size, tau and rec_taus from the children's cached values."""

@@ -151,7 +151,7 @@ def test_criterion_6_nogo_catalog():
         for family in families:
             hunt = find_violation(family, max_size=7)
             assert hunt.found, family.name
-        tie = duplication_depth_tie(7, constants=(0, 1, 5))
+        tie = duplication_depth_tie(7)
         assert tie.constants == (0, 1, 5)
         assert poly_search(3).orienting_assignments == 0
         assert kbo_search(3).orienting_assignments == 0
@@ -161,7 +161,7 @@ def test_criterion_6_nogo_catalog():
 
 def test_criterion_7_external_boundary():
     with _Criterion(7, "path-order boundary demonstration", 60):
-        report = lpo_boundary_report(max_size=5, hunt_size=7)
+        report = lpo_boundary_report(max_size=5)
         assert report.orienting_count >= 1
         assert report.instances_checked > 0
         assert report.rank_only.found

@@ -629,15 +629,21 @@ def _chain(depth: int) -> str:
     return "(rec void void " + "(delta " * depth + "void" + ")" * depth + ")"
 
 
+def _with_chain(argv, depth: int) -> list[str]:
+    """argv with each `T` replaced by the chain of that depth."""
+    return [a.replace("T", _chain(depth)) for a in argv]
+
+
 # The deepest chain `rec void void δ^n void` that each command takes in a
 # fresh `python -m ko7.cli` process, bisected with one process per probe,
 # for the commands that still walk the term by recursion.  `measure` and
 # the safe normalizer's `measure3` reach `Term._fill`, which recurses on
-# the first measure of a node; under --json the encoder's nesting comes
-# first, except for `measure`, whose payload holds no term.  A refusal
-# depth may rise, never fall.
+# the first measure of a node, and so does the guard of `merge t t`; under
+# --json the encoder's nesting comes first, except for `measure`, whose
+# payload holds no term.  A refusal depth may rise, never fall.
 DEEPEST = [
     (("normalize", "T"), 989),
+    (("step", "(merge T T)"), 988),
     (("measure", "T"), 990),
     (("--json", "parse", "T"), 492),
     (("--json", "step", "T"), 491),
@@ -658,9 +664,8 @@ def test_the_deepest_chain_a_command_takes(argv, depth):
     src = str(Path(ko7.__file__).resolve().parent.parent)
 
     def status(n):
-        command = [_chain(n) if a == "T" else a for a in argv]
         return subprocess.run(
-            [sys.executable, "-m", "ko7.cli", *command],
+            [sys.executable, "-m", "ko7.cli", *_with_chain(argv, n)],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             timeout=120,
@@ -673,11 +678,14 @@ _NORMAL_FORM = "(app void " * 1_000 + "void" + ")" * 1_000
 
 # The text forms walk the term by loops only: the chain a command takes,
 # the lines it prints, and how its last line starts.  The trace's text
-# grows with the square of the depth.
+# grows with the square of the depth.  A full root step compares two deep
+# equal subterms, on a stack past the recursion limit.
 TEXT_DEPTHS = [
     (("parse", "T"), 10_000, 1, _chain(10_000)),
     (("step", "T"), 10_000, 1, "rec_succ @ [] -> (app void (rec void void (delta "),
     (("step", "T", "--relation", "full-ctx"), 10_000, 1, "rec_succ @ [] -> (app void "),
+    (("step", "(merge T T)", "--relation", "full"), 2_000, 1, "merge_cancel @ [] -> (rec "),
+    (("step", "(eqw T T)", "--relation", "full"), 2_000, 2, "eq_diff @ [] -> (integrate (merge "),
     (("normalize", "T", "--relation", "full"), 1_000, 1, _NORMAL_FORM),
     (("normalize", "T", "--relation", "full", "--trace"), 1_000, 1_002, _NORMAL_FORM),
 ]
@@ -687,7 +695,7 @@ TEXT_DEPTHS = [
     "argv, depth, lines, last", TEXT_DEPTHS, ids=[" ".join(c[0]) for c in TEXT_DEPTHS]
 )
 def test_a_text_form_takes_a_deep_chain(run, argv, depth, lines, last):
-    status, out, err = run(*(_chain(depth) if a == "T" else a for a in argv))
+    status, out, err = run(*_with_chain(argv, depth))
     assert (status, err, out.count("\n")) == (0, "", lines)
     assert out.splitlines()[-1].startswith(last)
 

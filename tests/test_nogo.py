@@ -273,7 +273,7 @@ class TestCanonicalSurvives:
 
 class TestDepthTie:
     def test_tie_with_constant_shifts(self):
-        report = duplication_depth_tie(7, constants=(0, 1, 5))
+        report = duplication_depth_tie(7)
         assert report.witness.rule is RuleId.REC_SUCC
         assert kappa_depth(report.witness.source) == kappa_depth(report.witness.result)
         assert report.constants == (0, 1, 5)
@@ -358,7 +358,7 @@ class TestLpo:
             assert orients == orients_all(prec, instances)
 
     def test_boundary_report(self):
-        report = lpo_boundary_report(max_size=4, hunt_size=7)
+        report = lpo_boundary_report(max_size=4)
         assert report.ok
         assert report.orienting_count >= 1
         assert report.rank_only.found
@@ -507,7 +507,7 @@ class TestRenderValue:
             (1, 1),
             ((2, 5), [2, 5]),
             (Counter({3: 2, 1: 1}), [1, 3, 3]),
-            (Measure3(1, Counter({5: 1, 2: 1}), 4), [1, [2, 5], 4]),
+            (Measure3(1, (5, 2), 4), [1, [2, 5], 4]),
         ],
     )
     def test_by_type(self, value, rendered):

@@ -250,7 +250,7 @@ class TestWitnessSoundness:
     def test_witness_ordering(self):
         for t in enumerate_terms(5):
             for ws in (ctx_steps_full(t), ctx_steps_safe(t)):
-                keys = [(w.position, w.rule.index) for w in ws]
+                keys = [(w.position, RULE_ORDER.index(w.rule)) for w in ws]
                 assert keys == sorted(keys)
 
     def test_rec_succ_duplicates_step_operand(self):

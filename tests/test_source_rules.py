@@ -2,6 +2,8 @@
 `python -O` removes every one, so a check written as one vanishes there.
 Every value type is a NamedTuple, so no module imports `dataclasses`, which
 would load it and `inspect` into every command that imports the module.
+No class defines `__new__`, so a value type has one way to be built: its
+fields in order.
 Only the CLI writes to stdout or stderr, so what a command prints, and its
 goldens, are the CLI's alone."""
 
@@ -33,6 +35,17 @@ def _imports_dataclasses(node) -> bool:
 
 def test_no_dataclasses_import_in_the_library():
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if _imports_dataclasses(node)]
+    assert found == []
+
+
+def test_no_class_defines_new_in_the_library():
+    found = [
+        f"{name}:{item.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "__new__"
+    ]
     assert found == []
 
 

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import reprlib
+import sys
 from functools import lru_cache
 
 import pytest
@@ -344,6 +345,21 @@ class TestCachedFacts:
             for node in subterms(t):
                 if node is not VOID:
                     assert not hasattr(node, "_hash"), render(node)
+
+    def test_equality_on_terms_deeper_than_the_recursion_limit(self):
+        def chain(depth, bottom):
+            t = bottom
+            for _ in range(depth):
+                t = delta(t)
+            return rec(VOID, VOID, t)
+
+        depth = 5 * sys.getrecursionlimit()
+        a, b = chain(depth, VOID), chain(depth, VOID)
+        assert a is not b
+        assert a == b and not a != b
+        other = chain(depth, eqw(VOID, VOID))
+        assert a != other and not other == a
+        assert chain(depth, VOID) != chain(depth + 1, VOID)
 
     def test_immutable(self):
         t = merge(VOID, VOID)
