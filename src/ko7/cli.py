@@ -6,10 +6,9 @@ output errors (a negative fuel or budget, or a term nested too deeply to
 process, is a usage error; a closed stdout is an output error).  `--json`
 switches any subcommand to its documented JSON form.  Every handler
 prints through `_emit`, handing it both forms unbuilt.  Printing text
-walks no recursion, so the depth a command refuses is set by what still
-recurses: the JSON encoder (about 490 levels) and a node's first measure
-in `measure`, the safe normalizer and the guards of `merge t t` and
-`eqw t t` (about 990).
+walks no recursion, and a term's `==`, hash and facts fall back to an
+explicit stack past the recursion limit, so only the JSON encoder sets
+a depth a command refuses: about 490 levels, under `--json`.
 
 Each handler imports the modules it calls, and `json` is imported only
 under `--json`: every command is a fresh process, which would otherwise
@@ -232,7 +231,7 @@ def _cmd_check_coverage(args) -> int:
 
     report = confluence.root_coverage_sweep(args.max_size, workers=workers.resolve_workers())
     return _emit_report(args, report, lambda: [
-        *(f"{shape}: {n} instance(s)" for shape, n in report.to_json()["instances"].items()),
+        *(f"{s}: {report.instances[s]} instance(s)" for s in confluence._ROOT_SHAPES),
         f"target mismatches: {len(report.mismatches)}",
         f"guard-blocked eqw instances checked: {report.vacuous_checked}, "
         f"violations: {len(report.vacuous_violations)}",

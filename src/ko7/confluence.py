@@ -17,7 +17,7 @@ from .rewrite import (
     root_steps_safe,
     steps,
 )
-from .terms import Term, VOID, _node, enumerate_terms, eqw, term_to_json
+from .terms import Term, VOID, _node, enumerate_terms, eqw, fields_json, json_value
 from .workers import run_sweep
 
 
@@ -27,6 +27,8 @@ class Fork(NamedTuple):
     source: Term
     left: StepWitness
     right: StepWitness
+
+    to_json = fields_json
 
 
 class JoinResult(NamedTuple):
@@ -105,21 +107,7 @@ class SweepReport(NamedTuple):
         return self.forks_checked >= 1 and not self.violations
 
     def to_json(self) -> dict:
-        def fork_json(f: Fork) -> dict:
-            return {
-                "source": term_to_json(f.source),
-                "left": f.left.to_json(),
-                "right": f.right.to_json(),
-            }
-
-        return {
-            "relation": self.relation,
-            "maxSize": self.max_size,
-            "forksChecked": self.forks_checked,
-            "joined": self.joined,
-            "inconclusive": [fork_json(f) for f in self.inconclusive],
-            "violations": [fork_json(f) for f in self.violations],
-        }
+        return fields_json(self, joined=self.joined)
 
 
 def _ctx_witness_count(t: Term, roots: int) -> int:
@@ -196,12 +184,7 @@ class UniqueNFReport(NamedTuple):
     def ok(self) -> bool:
         return self.terms_checked >= 1 and not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "maxSize": self.max_size,
-            "termsChecked": self.terms_checked,
-            "violations": [term_to_json(t) for t in self.violations],
-        }
+    to_json = fields_json
 
 
 def guarded_root_normal_forms(t: Term) -> set[Term]:
@@ -317,15 +300,11 @@ class CoverageReport(NamedTuple):
         )
 
     def to_json(self) -> dict:
-        return {
-            "maxSize": self.max_size,
-            "instances": {s: self.instances[s] for s in _ROOT_SHAPES},
-            "mismatches": [
-                {"shape": s, "term": term_to_json(t)} for s, t in self.mismatches
-            ],
-            "vacuousChecked": self.vacuous_checked,
-            "vacuousViolations": [term_to_json(t) for t in self.vacuous_violations],
-        }
+        return fields_json(
+            self,
+            instances={s: self.instances[s] for s in _ROOT_SHAPES},
+            mismatches=[{"shape": s, "term": json_value(t)} for s, t in self.mismatches],
+        )
 
 
 def _coverage_chunk(max_size: int, lo: int, hi: int) -> CoverageReport:
@@ -400,14 +379,14 @@ class NonJoinWitness(NamedTuple):
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
-            "source": term_to_json(self.source),
+            "source": json_value(self.source),
             "reducts": {
-                "eq_refl": term_to_json(self.reduct_refl),
-                "eq_diff": term_to_json(self.reduct_diff),
+                "eq_refl": json_value(self.reduct_refl),
+                "eq_diff": json_value(self.reduct_diff),
             },
             "normalForms": {
-                "eq_refl": term_to_json(self.normal_refl),
-                "eq_diff": term_to_json(self.normal_diff),
+                "eq_refl": json_value(self.normal_refl),
+                "eq_diff": json_value(self.normal_diff),
             },
             "distinct": self.distinct,
             "joined": self.join.joined,

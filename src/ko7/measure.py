@@ -19,7 +19,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .rewrite import StepWitness, _root_rewrites, delta_flag
-from .terms import Term, enumerate_terms
+from .terms import Term, enumerate_terms, json_value
 from .workers import run_sweep
 
 NatMultiset = Counter  # element -> multiplicity, multiplicities >= 1
@@ -60,7 +60,7 @@ class Measure3(NamedTuple):
     tau: int
 
     def to_json(self) -> list:
-        return [self.dflag, list(reversed(self.kappa_desc)), self.tau]
+        return [self.dflag, json_value(self.kappa_desc[::-1]), self.tau]
 
     def _kappa_text(self) -> str:
         """The multiset as `{a, b, ...}`, elements ascending."""
@@ -123,7 +123,7 @@ class DecreaseReport(NamedTuple):
         return {
             "maxSize": self.max_size,
             "checked": self.checked,
-            "violations": [w.to_json() for w in self.violations],
+            "violations": json_value(self.violations),
             "decidedBy": {c: decided_by[c] for c in ("dflag", "kappaM", "tau")},
             "byRule": {rule: dict(c) for rule, c in sorted(self.by_rule.items())},
         }

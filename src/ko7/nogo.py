@@ -19,7 +19,7 @@ import operator
 from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .measure import Measure3, measure3
+from .measure import measure3
 from .rewrite import (
     RelationKind,
     RuleId,
@@ -36,6 +36,8 @@ from .terms import (
     VOID,
     delta,
     enumerate_terms,
+    fields_json,
+    json_value,
     merge,
     rec,
     size,
@@ -64,15 +66,11 @@ def _proper_submultiset(x: Counter, y: Counter) -> bool:
 
 
 def render_value(value: Any):
-    """JSON-friendly form of a family value, by its type (a Measure3 is a
-    tuple too, so it is tested first)."""
-    if isinstance(value, Measure3):
-        return value.to_json()
+    """JSON-friendly form of a family value: a Counter's elements sorted
+    ascending, anything else its `json_value`."""
     if isinstance(value, Counter):
         return sorted(value.elements())
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+    return json_value(value)
 
 
 class MeasureFamily(NamedTuple):
@@ -99,7 +97,7 @@ class LinearInterpretation(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            kind: {"coefs": list(self.coefs[i]), "const": self.consts[i]}
+            kind: {"coefs": json_value(self.coefs[i]), "const": self.consts[i]}
             for i, kind in enumerate(KINDS)
         }
 
@@ -228,16 +226,13 @@ class CounterexampleReport(NamedTuple):
     verdict: str  # "increase" | "no-strict-drop"
 
     def to_json(self) -> dict:
-        base = self.witness.to_json()
-        base.update(
-            {
-                "family": self.family,
-                "before": render_value(self.value_before),
-                "after": render_value(self.value_after),
-                "verdict": self.verdict,
-            }
-        )
-        return base
+        return {
+            **json_value(self.witness),
+            "family": self.family,
+            "before": render_value(self.value_before),
+            "after": render_value(self.value_after),
+            "verdict": self.verdict,
+        }
 
 
 class HuntReport(NamedTuple):
@@ -251,16 +246,7 @@ class HuntReport(NamedTuple):
     def found(self) -> bool:
         return self.counterexample is not None
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "relation": self.relation,
-            "maxSize": self.max_size,
-            "scanned": self.scanned,
-            "counterexample": (
-                self.counterexample.to_json() if self.counterexample else None
-            ),
-        }
+    to_json = fields_json
 
 
 def _no_drop_report(
@@ -357,15 +343,7 @@ class StressReport(NamedTuple):
         return f"size(result) = size(source) + size(step) + {self.fitted_offset}"
 
     def to_json(self) -> dict:
-        return {
-            "maxSize": self.max_size,
-            "instances": self.instances,
-            "fittedOffset": self.fitted_offset,
-            "identity": self.identity,
-            "failures": [w.to_json() for w in self.failures],
-            "strictDrops": self.strict_drops,
-            "minGrowth": self.min_growth,
-        }
+        return fields_json(self, identity=self.identity)
 
 
 def duplication_stress(max_size: int = 7) -> StressReport:
@@ -481,11 +459,11 @@ class LpoReport(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "precedence": list(self.precedence),
+            "precedence": json_value(self.precedence),
             "orientingPrecedences": self.orienting_count,
             "precedencesChecked": self.precedences_checked,
             "instancesChecked": self.instances_checked,
-            "rankOnlyCounterexample": self.rank_only.to_json(),
+            "rankOnlyCounterexample": json_value(self.rank_only),
         }
 
 
@@ -605,17 +583,13 @@ class PolyReport(NamedTuple):
             "stepCombosChecked": self.step_combos_checked,
             "minStepExcess": self.min_step_excess,
             "samplesConfirmed": self.samples_confirmed,
-            "example": _json_or_none(self.example),
+            "example": json_value(self.example),
             "scanResistant": {
-                "interpretation": SCAN_RESISTANT_INTERPRETATION.to_json(),
+                "interpretation": json_value(SCAN_RESISTANT_INTERPRETATION),
                 "violationWithinSize6": self.scan_resistant_small_violation,
-                "example": _json_or_none(self.scan_resistant_example),
+                "example": json_value(self.scan_resistant_example),
             },
         }
-
-
-def _json_or_none(report: Optional[CounterexampleReport]) -> Optional[dict]:
-    return report.to_json() if report else None
 
 
 def _linear_family(name: str, interp: LinearInterpretation) -> MeasureFamily:
@@ -696,13 +670,7 @@ class KboReport(NamedTuple):
     def ok(self) -> bool:
         return self.orienting_assignments == 0
 
-    def to_json(self) -> dict:
-        return {
-            "weightBound": self.weight_bound,
-            "assignmentsChecked": self.assignments_checked,
-            "orientingAssignments": self.orienting_assignments,
-            "example": _json_or_none(self.example),
-        }
+    to_json = fields_json
 
 
 def kbo_search(weight_bound: int = 3) -> KboReport:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .measure import Measure3, lex3_less, measure3
 from .rewrite import StepWitness, _full_steps, root_steps_safe
-from .terms import Term, TermError, _collector_paused, term_to_json
+from .terms import Term, TermError, _collector_paused, fields_json, json_value
 
 DEFAULT_FUEL = 10_000
 
@@ -39,6 +39,8 @@ class TraceStep(NamedTuple):
     before: Measure3
     after: Measure3
 
+    to_json = fields_json
+
 
 class Trace(NamedTuple):
     source: Term
@@ -47,16 +49,9 @@ class Trace(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "source": term_to_json(self.source),
-            "steps": [
-                {
-                    "witness": s.witness.to_json(),
-                    "before": s.before.to_json(),
-                    "after": s.after.to_json(),
-                }
-                for s in self.steps
-            ],
-            "normalForm": term_to_json(self.final_term),
+            "source": json_value(self.source),
+            "steps": json_value(self.steps),
+            "normalForm": json_value(self.final_term),
         }
 
 
@@ -71,12 +66,7 @@ class FullRunResult(NamedTuple):
     def steps_taken(self) -> int:
         return len(self.steps)
 
-    def to_json(self) -> dict:
-        return {
-            "normalized": self.normalized,
-            "term": term_to_json(self.term),
-            "steps": [w.to_json() for w in self.steps],
-        }
+    to_json = fields_json
 
 
 def is_normal_form_safe(t: Term) -> bool:

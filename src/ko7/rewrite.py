@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, NamedTuple
 
-from .terms import Position, Term, VOID, _node, replace_at, term_to_json
+from .terms import Position, Term, VOID, _node, json_value, replace_at
 
 
 class RuleId(enum.Enum):
@@ -61,9 +61,9 @@ class StepWitness(NamedTuple):
     def to_json(self) -> dict:
         return {
             "rule": self.rule.value,
-            "pos": list(self.position),
-            "from": term_to_json(self.source),
-            "to": term_to_json(self.result),
+            "pos": json_value(self.position),
+            "from": json_value(self.source),
+            "to": json_value(self.result),
         }
 
 

@@ -17,7 +17,7 @@ import re
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 # Constructor order is fixed: it determines enumeration order and is part of
 # the reproducibility contract of every sweep report.
@@ -78,7 +78,8 @@ class Term:
     searches are never hashed or measured.
 
     Past the recursion limit, `==` compares the two terms' constructors in
-    pre-order, on an explicit stack.
+    pre-order, and the hash and the facts are filled children first, each
+    on an explicit stack.
     """
 
     __slots__ = ("kind", "children", "_hash", "_size", "_tau", "_rec_taus")
@@ -113,9 +114,14 @@ class Term:
         try:
             return self._hash
         except AttributeError:
+            pass  # hashed outside the handler: see `_fill`
+        try:
             h = hash((self.kind, self.children))
-            _set(self, "_hash", h)
-            return h
+        except RecursionError:
+            _bottom_up(self, "_hash", hash)
+            return self._hash
+        _set(self, "_hash", h)
+        return h
 
     def __eq__(self, other):
         if self is other:
@@ -128,16 +134,25 @@ class Term:
             return [u.kind for u in subterms(self)] == [u.kind for u in subterms(other)]
 
     def _fill(self) -> None:
-        """Cache size, tau and rec_taus from the children's cached values."""
+        """Cache size, tau and rec_taus from the children's cached values,
+        filling a child first when it has none.  The child is filled
+        outside the AttributeError handler: an exception raised below it
+        would chain to the handled one, and each raise walks that chain."""
         nodes = 1
         tau = 3 if self.kind == "eqw" else 1
         recs: tuple[int, ...] = ()
         for c in self.children:
             try:
-                nodes += c._size
+                child_size = c._size
             except AttributeError:
-                c._fill()
-                nodes += c._size
+                child_size = None
+            if child_size is None:
+                try:
+                    c._fill()
+                except RecursionError:
+                    _bottom_up(c, "_size", Term._fill)
+                child_size = c._size
+            nodes += child_size
             tau += c._tau
             recs += c._rec_taus
         _set(self, "_size", nodes)
@@ -167,6 +182,22 @@ class Term:
         except AttributeError:
             self._fill()
             return self._rec_taus
+
+
+def _bottom_up(t: Term, slot: str, fill: Callable[[Term], object]) -> None:
+    """Call `fill` on t and on each node below it whose `slot` is unset,
+    children before their parent, on an explicit stack: the fallback of a
+    fill that recursed past the limit.  A node is visited once per parent
+    that found it unset: once in a tree, once per edge where nodes are
+    shared."""
+    stack = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            fill(node)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children if not hasattr(c, slot))
 
 
 def _node(kind: str, children: tuple[Term, ...]) -> Term:
@@ -479,6 +510,32 @@ def term_to_json(t: Term) -> dict:
             if c.children:
                 stack.append((c, d["c"]))
     return root
+
+
+def json_value(value):
+    """The JSON form of a reported value: a Term's `term_to_json`, the
+    `to_json()` of a value that has one, a tuple's items' forms as a list,
+    and anything else as it is."""
+    if value.__class__ is Term:
+        return term_to_json(value)
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [json_value(v) for v in value]
+    return value
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def fields_json(report, **computed) -> dict:
+    """A NamedTuple's JSON form: each field's `json_value` under its
+    camelCase name (`max_size` as `maxSize`), then the `computed` keys,
+    which take the place of a field of the same name."""
+    keys = map(_camel, report._fields)
+    return {k: json_value(v) for k, v in zip(keys, report) if k not in computed} | computed
 
 
 def _json_frame(obj) -> tuple[str, list, list[Term]]:

@@ -564,9 +564,9 @@ class TestGoldens:
 
 class TestUsage:
     def test_too_deep_term_exits_2(self, run):
-        # a node's first measure still recurses on its depth
+        # the JSON encoder still recurses on the term's depth
         depth = sys.getrecursionlimit()
-        status, out, err = run("measure", "(delta " * depth + "void" + ")" * depth)
+        status, out, err = run("--json", "parse", "(delta " * depth + "void" + ")" * depth)
         assert status == 2
         assert out == ""
         assert "error: term too deep" in err
@@ -636,22 +636,17 @@ def _with_chain(argv, depth: int) -> list[str]:
 
 # The deepest chain `rec void void δ^n void` that each command takes in a
 # fresh `python -m ko7.cli` process, bisected with one process per probe,
-# for the commands that still walk the term by recursion.  `measure` and
-# the safe normalizer's `measure3` reach `Term._fill`, which recurses on
-# the first measure of a node, and so does the guard of `merge t t`; under
-# --json the encoder's nesting comes first, except for `measure`, whose
-# payload holds no term.  A refusal depth may rise, never fall.
+# for the commands that still walk the term by recursion: the JSON
+# encoder, whose nesting sets every `--json` form's depth but that of
+# `measure`, whose payload holds no term.  A refusal depth may rise,
+# never fall.
 DEEPEST = [
-    (("normalize", "T"), 989),
-    (("step", "(merge T T)"), 988),
-    (("measure", "T"), 990),
     (("--json", "parse", "T"), 492),
     (("--json", "step", "T"), 491),
     (("--json", "step", "T", "--relation", "full-ctx"), 491),
     (("--json", "normalize", "T"), 490),
     (("--json", "normalize", "T", "--relation", "full"), 491),
     (("--json", "normalize", "T", "--relation", "full", "--trace"), 491),
-    (("--json", "measure", "T"), 990),
 ]
 
 
@@ -676,12 +671,18 @@ def test_the_deepest_chain_a_command_takes(argv, depth):
 
 _NORMAL_FORM = "(app void " * 1_000 + "void" + ")" * 1_000
 
-# The text forms walk the term by loops only: the chain a command takes,
-# the lines it prints, and how its last line starts.  The trace's text
-# grows with the square of the depth.  A full root step compares two deep
-# equal subterms, on a stack past the recursion limit.
+# The text forms, and `--json measure`, walk the term by loops only, or
+# by recursion that falls back to a loop past the limit: the chain a
+# command takes, the lines it prints, and how its last line starts.  The
+# trace's text grows with the square of the depth.  A full root step
+# compares two deep equal subterms, and the safe `merge t t` guard and
+# `measure` fill a node's facts, each on a stack past the recursion limit.
 TEXT_DEPTHS = [
     (("parse", "T"), 10_000, 1, _chain(10_000)),
+    (("normalize", "T"), 10_000, 1, "(app void (rec void void (delta "),
+    (("step", "(merge T T)"), 10_000, 1, "(no steps)"),
+    (("measure", "T"), 10_000, 3, "tau: 10004"),
+    (("--json", "measure", "T"), 10_000, 1, '{"measure": [1, [10004], 10004]}'),
     (("step", "T"), 10_000, 1, "rec_succ @ [] -> (app void (rec void void (delta "),
     (("step", "T", "--relation", "full-ctx"), 10_000, 1, "rec_succ @ [] -> (app void "),
     (("step", "(merge T T)", "--relation", "full"), 2_000, 1, "merge_cancel @ [] -> (rec "),

@@ -48,6 +48,13 @@ class TestJoinable:
         assert result.common == t
         assert result.left_path == () and result.right_path == ()
 
+    def test_a_chain_past_the_recursion_limit_joins_itself(self):
+        chain = VOID
+        for _ in range(10_000):
+            chain = delta(chain)
+        u = rec(VOID, VOID, chain)
+        assert joinable(u, u, RelationKind.SAFE_CTX, 1).joined
+
     def test_distinct_normal_forms_never_join(self):
         result = joinable(
             VOID, integrate(merge(VOID, VOID)), RelationKind.SAFE_ROOT, 100

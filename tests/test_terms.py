@@ -3,6 +3,7 @@ import pickle
 import reprlib
 import sys
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +18,15 @@ from ko7.terms import (
     Term,
     TermError,
     VOID,
+    _bottom_up,
     app,
     count_terms,
     delta,
     enumerate_terms,
     eqw,
+    fields_json,
     integrate,
+    json_value,
     merge,
     parse,
     positions,
@@ -360,6 +364,42 @@ class TestCachedFacts:
         other = chain(depth, eqw(VOID, VOID))
         assert a != other and not other == a
         assert chain(depth, VOID) != chain(depth + 1, VOID)
+
+    def test_bottom_up_gives_the_recursive_facts_and_hash(self):
+        # the fallback past the recursion limit, run on shallow terms,
+        # against the recursion, on copies that share no node
+        for t in [*enumerate_terms(5), *built_terms()]:
+            a, b = term_from_json(term_to_json(t)), term_from_json(term_to_json(t))
+            hash(a), a.size  # fills every node below by recursion
+            _bottom_up(b, "_size", Term._fill)
+            _bottom_up(b, "_hash", hash)
+            for x, y in zip(subterms(a), subterms(b)):
+                facts = (x._hash, x._size, x._tau, x._rec_taus)
+                assert facts == (y._hash, y._size, y._tau, y._rec_taus)
+
+    def test_bottom_up_fills_a_shared_node_once_per_edge_to_it(self):
+        shared = merge(VOID, VOID)
+        t = rec(shared, shared, app(shared, shared))
+        filled = []
+        _bottom_up(t, "_size", lambda node: filled.append(node) or node._fill())
+        assert sum(node is shared for node in filled) == 4 and filled[-1] is t
+        assert t.size == reference_size(t)
+
+    def test_facts_and_hash_past_the_recursion_limit(self):
+        depth = 10_000
+        chain = VOID
+        want = hash(("void", ()))
+        for _ in range(depth):
+            chain = delta(chain)
+            want = hash(("delta", (_Hashed(want),)))
+        t = rec(VOID, VOID, chain)
+        want = hash(("rec", (_Hashed(hash(VOID)), _Hashed(hash(VOID)), _Hashed(want))))
+        assert (t.size, t.tau, t.rec_taus) == (depth + 4, depth + 4, (depth + 4,))
+        assert hash(t) == want
+        fresh = parse(render(t))
+        assert hash(fresh) == want and {t: 1}[fresh] == 1
+        # a deep node whose children were filled only partly before
+        assert merge(delta(t), eqw(VOID, chain)).tau == 2 + (depth + 4) + 3 + 1 + (depth + 1)
 
     def test_immutable(self):
         t = merge(VOID, VOID)
@@ -724,6 +764,42 @@ class TestJson:
             assert t.kind == "delta"
             t = t.children[0]
         assert t == VOID
+
+
+class _WithToJson:
+    def to_json(self):
+        return {"own": True}
+
+
+class _Sample(NamedTuple):
+    max_size: int
+    term: Term
+    value_after: _WithToJson
+    nested_items: tuple
+    example: Optional[int]
+
+
+class TestFieldsJson:
+    def test_each_field_by_its_camel_case_name(self):
+        t = merge(VOID, delta(VOID))
+        sample = _Sample(3, t, _WithToJson(), ((t, 1), ()), None)
+        assert fields_json(sample) == {
+            "maxSize": 3,
+            "term": term_to_json(t),
+            "valueAfter": {"own": True},
+            "nestedItems": [[term_to_json(t), 1], []],
+            "example": None,
+        }
+
+    def test_computed_keys_follow_and_replace_a_field(self):
+        sample = _Sample(3, VOID, _WithToJson(), (), 7)
+        out = fields_json(sample, example="computed", extra=[1])
+        assert list(out) == ["maxSize", "term", "valueAfter", "nestedItems", "example", "extra"]
+        assert out["example"] == "computed" and out["extra"] == [1]
+
+    def test_json_value_keeps_other_values(self):
+        for value in (None, 0, "s", [1], {"a": 1}, 2.5, True):
+            assert json_value(value) is value
 
 
 def reference_term_to_json(t: Term) -> dict:
