@@ -41,6 +41,7 @@ _EXPORTS = {
         "tau",
     ),
     "nogo": (
+        "CatalogReport",
         "CounterexampleReport",
         "HuntReport",
         "KboReport",
@@ -51,6 +52,7 @@ _EXPORTS = {
         "canonical_family",
         "catalog",
         "catalog_family",
+        "catalog_report",
         "duplication_depth_tie",
         "duplication_stress",
         "find_violation",
@@ -59,7 +61,6 @@ _EXPORTS = {
         "lpo_boundary_report",
         "lpo_greater",
         "poly_search",
-        "render_value",
         "tree_depth",
     ),
     "normalize": (

@@ -130,7 +130,7 @@ def _cmd_normalize(args) -> int:
                     f"{terms.render(s.witness.result)}   {s.before} -> {s.after}"
                     for s in (trace.steps if args.trace else ())
                 ),
-                terms.render(trace.final_term),
+                terms.render(trace.normal_form),
             ])
         else:
             run = normalize.normalize_full(t, fuel)
@@ -239,12 +239,10 @@ def _cmd_check_coverage(args) -> int:
 
 
 def _counterexample(hunt: nogo.HuntReport) -> str:
-    from .nogo import render_value
-
     report = hunt.counterexample
     w = report.witness
-    before = render_value(report.value_before)
-    after = render_value(report.value_after)
+    before = terms.json_value(report.value_before)
+    after = terms.json_value(report.value_after)
     return (
         f"counterexample: {w.rule.value} on {terms.render(w.source)}: "
         f"{before} -> {after} ({report.verdict})"
@@ -252,7 +250,7 @@ def _counterexample(hunt: nogo.HuntReport) -> str:
 
 
 def _cmd_check_nogo(args) -> int:
-    from . import nogo, rewrite
+    from . import nogo
 
     if args.family:
         try:
@@ -272,34 +270,25 @@ def _cmd_check_nogo(args) -> int:
         ])
         return EXIT_OK if hunt.found else EXIT_VIOLATION
 
-    hunts = [nogo.find_violation(f, max_size=args.max_size) for f in nogo.catalog()]
-    canonical = nogo.find_violation(
-        nogo.canonical_family(), rewrite.RelationKind.SAFE_ROOT, args.max_size
-    )
-    ok = all(h.found for h in hunts) and not canonical.found
-    verdict = "no violation" if not canonical.found else "VIOLATION"
-    _emit(
-        args,
-        lambda: {"families": [h.to_json() for h in hunts], "canonical": canonical.to_json()},
-        lambda: [
-            *(
-                f"{h.family}: {_counterexample(h) if h.found else 'NO COUNTEREXAMPLE: -'}"
-                for h in hunts
-            ),
-            f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances",
-            "PASS" if ok else "FAIL",
-        ],
-    )
-    return EXIT_OK if ok else EXIT_VIOLATION
+    report = nogo.catalog_report(args.max_size)
+    canonical = report.canonical
+    verdict = "VIOLATION" if canonical.found else "no violation"
+    return _emit_report(args, report, lambda: [
+        *(
+            f"{h.family}: {_counterexample(h) if h.found else 'NO COUNTEREXAMPLE: -'}"
+            for h in report.families
+        ),
+        f"canonical-triple on guarded relation: {verdict} over {canonical.scanned} instances",
+    ])
 
 
 def _cmd_check_lpo(args) -> int:
     from . import nogo
 
     report = nogo.lpo_boundary_report(max_size=args.max_size)
-    rank_only = report.rank_only
+    rank_only = report.rank_only_counterexample
     return _emit_report(args, report, lambda: [
-        f"orienting precedences: {report.orienting_count} of {report.precedences_checked}",
+        f"orienting precedences: {report.orienting_precedences} of {report.precedences_checked}",
         f"first: {' < '.join(report.precedence) or '-'}",
         f"instances checked: {report.instances_checked}",
         *([f"precedence rank alone: {_counterexample(rank_only)}"] if rank_only.found else []),

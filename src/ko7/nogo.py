@@ -61,16 +61,9 @@ def tree_depth(t: Term) -> int:
     return 1 + max(tree_depth(c) for c in t.children)
 
 
-def _proper_submultiset(x: Counter, y: Counter) -> bool:
-    return not (x - y) and x != y
-
-
-def render_value(value: Any):
-    """JSON-friendly form of a family value: a Counter's elements sorted
-    ascending, anything else its `json_value`."""
-    if isinstance(value, Counter):
-        return sorted(value.elements())
-    return json_value(value)
+def _proper_submultiset(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    # sorted tuples, so equal exactly when equal as multisets
+    return not (Counter(x) - Counter(y)) and x != y
 
 
 class MeasureFamily(NamedTuple):
@@ -163,7 +156,7 @@ def catalog() -> list[MeasureFamily]:
             "naive-multiset",
             "multiset of all subterm sizes under proper sub-multiset order "
             "(no replace-by-smaller clause)",
-            lambda t: Counter(size(u) for u in subterms(t)),
+            lambda t: tuple(sorted(size(u) for u in subterms(t))),
             _proper_submultiset,
             focus=(RuleId.REC_SUCC,),
         ),
@@ -202,10 +195,7 @@ def catalog() -> list[MeasureFamily]:
 
 
 def catalog_family(name: str) -> MeasureFamily:
-    for family in catalog():
-        if family.name == name:
-            return family
-    raise KeyError(name)
+    return {family.name: family for family in catalog()}[name]
 
 
 def canonical_family() -> MeasureFamily:
@@ -229,8 +219,8 @@ class CounterexampleReport(NamedTuple):
         return {
             **json_value(self.witness),
             "family": self.family,
-            "before": render_value(self.value_before),
-            "after": render_value(self.value_after),
+            "before": json_value(self.value_before),
+            "after": json_value(self.value_after),
             "verdict": self.verdict,
         }
 
@@ -293,6 +283,28 @@ def find_violation(
     return HuntReport(family.name, relation.value, max_size, scanned, fallback)
 
 
+class CatalogReport(NamedTuple):
+    """Every catalog family's hunt on the full root relation, and the
+    certificate's on the guarded one: ok when every family fails and the
+    certificate does not."""
+
+    families: tuple[HuntReport, ...]
+    canonical: HuntReport
+
+    @property
+    def ok(self) -> bool:
+        return all(h.found for h in self.families) and not self.canonical.found
+
+    to_json = fields_json
+
+
+def catalog_report(max_size: int) -> CatalogReport:
+    """Hunt every catalog family, and the certificate, up to max_size."""
+    families = tuple(find_violation(f, max_size=max_size) for f in catalog())
+    canonical = find_violation(canonical_family(), RelationKind.SAFE_ROOT, max_size)
+    return CatalogReport(families, canonical)
+
+
 # ---------------------------------------------------------------------------
 # The depth tie on the duplicating rule: adding any fixed constant to the
 # nesting depth cannot restore a strict drop.
@@ -301,22 +313,17 @@ def find_violation(
 class DepthTieReport(NamedTuple):
     witness: StepWitness
     depth: int
-    constants: tuple[int, ...]
-
-
-_DEPTH_SHIFTS = (0, 1, 5)
 
 
 def duplication_depth_tie(max_size: int = 7) -> DepthTieReport:
     """First rec_succ instance whose delta-nesting depth ties exactly: the
     additive-kappa hunt's witness, as rec_succ never raises the depth.  An
-    equal pair stays equal under any constant shift, so the report lists
-    the shifts 0, 1 and 5 it stands for without re-checking them."""
+    equal pair stays equal under any constant shift."""
     found = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
     tie = found.counterexample
     if tie is None or tie.witness.rule is not RuleId.REC_SUCC:
         raise RuntimeError(f"no depth-tied rec_succ instance up to size {max_size}")
-    return DepthTieReport(tie.witness, tie.value_before, _DEPTH_SHIFTS)
+    return DepthTieReport(tie.witness, tie.value_before)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +407,6 @@ def lpo_greater(a: Term, b: Term, prec: Precedence) -> bool:
     return False
 
 
-def _rule_instances(max_size: int) -> list[tuple[Term, Term]]:
-    return [(w.source, w.result) for w in iter_witnesses(RelationKind.FULL_ROOT, max_size)]
-
-
 def orients_all(prec: Precedence, instances: list[tuple[Term, Term]]) -> bool:
     return all(lpo_greater(lhs, rhs, prec) for lhs, rhs in instances)
 
@@ -443,28 +446,21 @@ class LpoReport(NamedTuple):
     concrete counterexample."""
 
     precedence: tuple[str, ...]  # least to greatest; () when none orients
-    orienting_count: int
+    orienting_precedences: int
     precedences_checked: int
     instances_checked: int
-    rank_only: HuntReport
+    rank_only_counterexample: HuntReport
 
     @property
     def ok(self) -> bool:
         # with no instance every precedence orients vacuously
         return (
             self.instances_checked >= 1
-            and self.orienting_count >= 1
-            and self.rank_only.found
+            and self.orienting_precedences >= 1
+            and self.rank_only_counterexample.found
         )
 
-    def to_json(self) -> dict:
-        return {
-            "precedence": json_value(self.precedence),
-            "orientingPrecedences": self.orienting_count,
-            "precedencesChecked": self.precedences_checked,
-            "instancesChecked": self.instances_checked,
-            "rankOnlyCounterexample": json_value(self.rank_only),
-        }
+    to_json = fields_json
 
 
 _RANK_HUNT_SIZE = 7
@@ -473,7 +469,7 @@ _RANK_HUNT_SIZE = 7
 def lpo_boundary_report(max_size: int = 5) -> LpoReport:
     """LPO under every precedence on the full root instances up to
     `max_size`, and the precedence-rank hunt up to `_RANK_HUNT_SIZE`."""
-    instances = _rule_instances(max_size)
+    instances = [(w.source, w.result) for w in iter_witnesses(RelationKind.FULL_ROOT, max_size)]
     verdicts = list(_orienting_orders(instances))
     orienting = [order for order, orients in verdicts if orients]
     rank_only = find_violation(
@@ -556,6 +552,16 @@ SCAN_RESISTANT_INTERPRETATION = LinearInterpretation(
 )
 
 
+class ScanResistance(NamedTuple):
+    """Whether the size-6 scan refutes the interpretation; pumping does."""
+
+    interpretation: LinearInterpretation
+    violation_within_size6: bool
+    example: Optional[CounterexampleReport]
+
+    to_json = fields_json
+
+
 class PolyReport(NamedTuple):
     coef_bound: int
     space_size: int
@@ -564,32 +570,17 @@ class PolyReport(NamedTuple):
     min_step_excess: int
     samples_confirmed: int
     example: Optional[CounterexampleReport]
-    scan_resistant_small_violation: bool
-    scan_resistant_example: Optional[CounterexampleReport]
+    scan_resistant: ScanResistance
 
     @property
     def ok(self) -> bool:
         return (
             self.orienting_assignments == 0
             and self.min_step_excess >= 1
-            and self.scan_resistant_example is not None
+            and self.scan_resistant.example is not None
         )
 
-    def to_json(self) -> dict:
-        return {
-            "coefBound": self.coef_bound,
-            "spaceSize": self.space_size,
-            "orientingAssignments": self.orienting_assignments,
-            "stepCombosChecked": self.step_combos_checked,
-            "minStepExcess": self.min_step_excess,
-            "samplesConfirmed": self.samples_confirmed,
-            "example": json_value(self.example),
-            "scanResistant": {
-                "interpretation": json_value(SCAN_RESISTANT_INTERPRETATION),
-                "violationWithinSize6": self.scan_resistant_small_violation,
-                "example": json_value(self.scan_resistant_example),
-            },
-        }
+    to_json = fields_json
 
 
 def _linear_family(name: str, interp: LinearInterpretation) -> MeasureFamily:
@@ -624,7 +615,10 @@ def _pump_candidates(
     return checked, orienting, example
 
 
-def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
+_POLY_SAMPLES = 64
+
+
+def poly_search(coef_bound: int = 3) -> PolyReport:
     """No linear interpretation with child coefficients in 1..coef_bound
     and constants in 0..coef_bound orients the kernel.
 
@@ -633,7 +627,7 @@ def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
     against r2 on the left (app coefficients a1, a2; rec step coefficient
     r2), a strict excess for every choice, so a tall enough step operand
     defeats any assignment.  The excess is checked for every (r2, a1, a2)
-    combination, and for a deterministic sample of full assignments the
+    combination, and for a deterministic sample of 64 full assignments the
     step operand is pumped on values, in closed form, until the instance
     fails to drop; a sampled assignment whose pumped instance strictly
     drops counts as orienting.
@@ -643,10 +637,9 @@ def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
     combos = list(itertools.product(range(1, coef_bound + 1), repeat=3))
     min_excess = min((a1 + a2 * r2) - r2 for r2, a1, a2 in combos)
 
-    samples = _sample_interpretations(coef_bound, sample_count)
+    samples = _sample_interpretations(coef_bound, _POLY_SAMPLES)
     checked, orienting, example = _pump_candidates("linear-poly", samples)
     resistant = SCAN_RESISTANT_INTERPRETATION
-    resistant_s, _, _ = _pump_step_operand(resistant)
     return PolyReport(
         coef_bound,
         _linear_space_size(coef_bound),
@@ -655,8 +648,11 @@ def poly_search(coef_bound: int = 3, sample_count: int = 64) -> PolyReport:
         min_excess,
         checked - orienting,
         example,
-        find_violation(_linear_family("linear-poly", resistant), max_size=6).found,
-        _rec_succ_example("linear-poly", resistant, resistant_s),
+        ScanResistance(
+            resistant,
+            find_violation(_linear_family("linear-poly", resistant), max_size=6).found,
+            _rec_succ_example("linear-poly", resistant, _pump_step_operand(resistant)[0]),
+        ),
     )
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .measure import Measure3, lex3_less, measure3
 from .rewrite import StepWitness, _full_steps, root_steps_safe
-from .terms import Term, TermError, _collector_paused, fields_json, json_value
+from .terms import Term, TermError, _collector_paused, fields_json
 
 DEFAULT_FUEL = 10_000
 
@@ -45,14 +45,9 @@ class TraceStep(NamedTuple):
 class Trace(NamedTuple):
     source: Term
     steps: tuple[TraceStep, ...]
-    final_term: Term
+    normal_form: Term
 
-    def to_json(self) -> dict:
-        return {
-            "source": json_value(self.source),
-            "steps": json_value(self.steps),
-            "normalForm": json_value(self.final_term),
-        }
+    to_json = fields_json
 
 
 class FullRunResult(NamedTuple):
@@ -105,6 +100,8 @@ def normalize_full(t: Term, fuel: int = DEFAULT_FUEL) -> FullRunResult:
     constructions (a delta-chain of length n, O(n^2)), not linear time.
     The walk runs with the cyclic collector paused: the terms it builds
     form no cycles (see `terms._collector_paused`)."""
+    if fuel < 0:
+        raise ValueError("fuel must be >= 0")
     with _collector_paused():
         walk = _full_steps(t)
         steps = tuple(islice(walk, fuel))
@@ -122,4 +119,4 @@ def reaches_target(t: Term, target: Term) -> bool:
             "target is not a normal form of the guarded relation: "
             f"{witnesses[0].rule.value} applies at its root"
         )
-    return normalize_safe(t).final_term == target
+    return normalize_safe(t).normal_form == target

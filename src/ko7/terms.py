@@ -544,9 +544,12 @@ def _json_frame(obj) -> tuple[str, list, list[Term]]:
     value by `reprlib`, which reads only its first levels and items."""
     if isinstance(obj, dict) and isinstance(obj.get("k"), str):
         children = obj.get("c", [])
-        if isinstance(children, list):
+        if not isinstance(children, list):
+            what, bad = "the 'c' of a JSON term is a list", children
+        elif obj.keys() <= {"k", "c"}:
             return obj["k"], children, []
-        what, bad = "the 'c' of a JSON term is a list", children
+        else:
+            what, bad = "a JSON term has no key but 'k' and 'c'", obj
     else:
         what, bad = "a JSON term is an object with a string 'k'", obj
     import reprlib

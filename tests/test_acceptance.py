@@ -16,10 +16,9 @@ from ko7.confluence import (
 )
 from ko7.measure import decrease_sweep
 from ko7.nogo import (
-    canonical_family,
     catalog,
+    catalog_report,
     duplication_depth_tie,
-    find_violation,
     kbo_search,
     lpo_boundary_report,
     poly_search,
@@ -30,7 +29,7 @@ from ko7.normalize import (
     reaches_target,
 )
 from ko7.measure import lex3_less
-from ko7.rewrite import RelationKind, root_steps_safe
+from ko7.rewrite import RelationKind, RuleId, root_steps_safe
 from ko7.terms import VOID, delta, enumerate_terms, integrate, render
 
 
@@ -84,10 +83,10 @@ def test_criterion_2_normalizer_totality_soundness():
                 assert step.witness.source == current
                 assert lex3_less(step.after, step.before)
                 current = step.witness.result
-            assert current == trace.final_term
-            assert is_normal_form_safe(trace.final_term)
+            assert current == trace.normal_form
+            assert is_normal_form_safe(trace.normal_form)
         for t in enumerate_terms(5):
-            assert normalize_safe(integrate(delta(t))).final_term == VOID
+            assert normalize_safe(integrate(delta(t))).normal_form == VOID
 
 
 def test_criterion_3_non_join_witness(capsys):
@@ -146,25 +145,24 @@ def test_criterion_5_root_shape_coverage():
 
 def test_criterion_6_nogo_catalog():
     with _Criterion(6, "failed-measure catalog", 120):
-        families = catalog()
-        assert len(families) == 12
-        for family in families:
-            hunt = find_violation(family, max_size=7)
-            assert hunt.found, family.name
+        assert len(catalog()) == 12
+        report = catalog_report(7)
+        for hunt in report.families:
+            assert hunt.found, hunt.family
+        assert not report.canonical.found
+        assert report.ok
         tie = duplication_depth_tie(7)
-        assert tie.constants == (0, 1, 5)
+        assert tie.witness.rule is RuleId.REC_SUCC
         assert poly_search(3).orienting_assignments == 0
         assert kbo_search(3).orienting_assignments == 0
-        canonical = find_violation(canonical_family(), RelationKind.SAFE_ROOT, 7)
-        assert not canonical.found
 
 
 def test_criterion_7_external_boundary():
     with _Criterion(7, "path-order boundary demonstration", 60):
         report = lpo_boundary_report(max_size=5)
-        assert report.orienting_count >= 1
+        assert report.orienting_precedences >= 1
         assert report.instances_checked > 0
-        assert report.rank_only.found
+        assert report.rank_only_counterexample.found
         assert report.ok
 
 
@@ -188,7 +186,7 @@ def test_criterion_8_reachability_agreement():
         for t in pool:
             reach = reachable(t)
             candidates = set(targets)
-            candidates.add(normalize_safe(t).final_term)
+            candidates.add(normalize_safe(t).normal_form)
             for c in candidates:
                 pairs += 1
                 assert reaches_target(t, c) == (c in reach)

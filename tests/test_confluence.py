@@ -122,7 +122,7 @@ class TestSweeps:
         assert unique_nf_sweep(5).ok
         for t in enumerate_terms(5):
             terminals = guarded_root_normal_forms(t)
-            assert terminals == {normalize_safe(t).final_term}
+            assert terminals == {normalize_safe(t).normal_form}
 
     def test_workers_do_not_change_reports(self):
         serial = unique_nf_sweep(5)

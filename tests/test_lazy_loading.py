@@ -19,22 +19,24 @@ SUBMODULES = ("confluence", "measure", "nogo", "normalize", "rewrite", "terms", 
 
 # the package's public names, as its eager imports bound them
 NAMES = [
-    "ArityError", "CounterexampleReport", "CoverageReport", "DecreaseReport", "Fork",
-    "FullRunResult", "HuntReport", "InvalidPositionError", "JoinResult", "KboReport",
-    "LpoReport", "Measure3", "MeasureFamily", "MeasureInvariantError", "NonJoinWitness",
-    "ParseError", "PolyReport", "Position", "RelationKind", "RuleId", "StepWitness",
-    "StressReport", "SweepReport", "TargetNotNormalError", "Term", "TermError", "Trace",
-    "UniqueNFReport", "VOID", "app", "canonical_family", "catalog", "catalog_family",
+    "ArityError", "CatalogReport", "CounterexampleReport", "CoverageReport",
+    "DecreaseReport", "Fork", "FullRunResult", "HuntReport", "InvalidPositionError",
+    "JoinResult", "KboReport", "LpoReport", "Measure3", "MeasureFamily",
+    "MeasureInvariantError", "NonJoinWitness", "ParseError", "PolyReport", "Position",
+    "RelationKind", "RuleId", "StepWitness", "StressReport", "SweepReport",
+    "TargetNotNormalError", "Term", "TermError", "Trace", "UniqueNFReport", "VOID",
+    "app", "canonical_family", "catalog", "catalog_family", "catalog_report",
     "confluence", "ctx_steps_full", "ctx_steps_safe", "decrease_sweep", "delta",
     "delta_flag", "dm_less", "duplication_depth_tie", "duplication_stress",
     "enumerate_terms", "eqw", "find_violation", "forks", "guarded_root_normal_forms",
-    "integrate", "is_normal_form_safe", "joinable", "kappa_depth", "kappa_m", "kbo_search",
-    "lex3_less", "local_join_sweep", "lpo_boundary_report", "lpo_greater", "measure",
-    "measure3", "merge", "nogo", "non_join_witness", "normalize", "normalize_full",
-    "normalize_safe", "parse", "poly_search", "positions", "reaches_target", "rec", "render",
-    "render_value", "replace_at", "rewrite", "root_coverage_sweep", "root_steps_full",
-    "root_steps_safe", "size", "steps", "subterm_at", "subterms", "tau", "term_from_json",
-    "term_to_json", "terms", "terms_of_size", "tree_depth", "unique_nf_sweep", "workers",
+    "integrate", "is_normal_form_safe", "joinable", "kappa_depth", "kappa_m",
+    "kbo_search", "lex3_less", "local_join_sweep", "lpo_boundary_report", "lpo_greater",
+    "measure", "measure3", "merge", "nogo", "non_join_witness", "normalize",
+    "normalize_full", "normalize_safe", "parse", "poly_search", "positions",
+    "reaches_target", "rec", "render", "replace_at", "rewrite", "root_coverage_sweep",
+    "root_steps_full", "root_steps_safe", "size", "steps", "subterm_at", "subterms",
+    "tau", "term_from_json", "term_to_json", "terms", "terms_of_size", "tree_depth",
+    "unique_nf_sweep", "workers",
 ]
 
 

@@ -12,6 +12,7 @@ from ko7.nogo import (
     canonical_family,
     catalog,
     catalog_family,
+    catalog_report,
     duplication_depth_tie,
     duplication_stress,
     find_violation,
@@ -22,7 +23,6 @@ from ko7.nogo import (
     lpo_greater,
     orients_all,
     poly_search,
-    render_value,
     tree_depth,
 )
 from ko7.measure import Measure3
@@ -37,6 +37,7 @@ from ko7.terms import (
     enumerate_terms,
     eqw,
     integrate,
+    json_value,
     merge,
     rec,
     size,
@@ -258,6 +259,26 @@ class TestStoryWitnesses:
         assert not c.value_before == c.value_after
 
 
+class TestCatalogReport:
+    def test_too_small_to_refute_every_family(self):
+        report = catalog_report(1)
+        assert not report.ok
+        assert not report.canonical.found
+
+    def test_every_family_fails_and_the_certificate_holds(self):
+        report = catalog_report(6)
+        assert report.ok
+        assert [h.family for h in report.families] == FAMILY_NAMES
+        assert all(h.max_size == 6 and h.relation == "full-root" for h in report.families)
+        assert report.canonical.family == "canonical-triple"
+        assert report.canonical.relation == "safe-root"
+
+    def test_a_certificate_violation_fails_it(self):
+        report = catalog_report(6)
+        broken = report._replace(families=(), canonical=report.families[0])
+        assert not broken.ok
+
+
 class TestCanonicalSurvives:
     def test_no_violation_on_guarded_relation(self):
         hunt = find_violation(canonical_family(), RelationKind.SAFE_ROOT, 7)
@@ -276,7 +297,6 @@ class TestDepthTie:
         report = duplication_depth_tie(7)
         assert report.witness.rule is RuleId.REC_SUCC
         assert kappa_depth(report.witness.source) == kappa_depth(report.witness.result)
-        assert report.constants == (0, 1, 5)
 
     @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
     def test_raises_below_the_first_tie(self, max_size):
@@ -350,7 +370,7 @@ class TestLpo:
                 assert lpo_greater(w.source, w.result, prec)
 
     def test_cached_scan_matches_plain_orients_all(self):
-        instances = nogo._rule_instances(4)
+        instances = [(w.source, w.result) for w in iter_witnesses(RelationKind.FULL_ROOT, 4)]
         verdicts = list(nogo._orienting_orders(instances))
         assert [order for order, _ in verdicts] == list(itertools.permutations(KINDS))
         for order, orients in verdicts:
@@ -360,9 +380,9 @@ class TestLpo:
     def test_boundary_report(self):
         report = lpo_boundary_report(max_size=4)
         assert report.ok
-        assert report.orienting_count >= 1
-        assert report.rank_only.found
-        assert report.rank_only.counterexample.witness.rule is RuleId.MERGE_CANCEL
+        assert report.orienting_precedences >= 1
+        assert report.rank_only_counterexample.found
+        assert report.rank_only_counterexample.counterexample.witness.rule is RuleId.MERGE_CANCEL
 
 
 class TestPolySearch:
@@ -377,7 +397,7 @@ class TestPolySearch:
         # a pumping routine that hands back a strictly dropping instance
         # must turn the report into a failure
         monkeypatch.setattr(nogo, "_pump_step_operand", lambda interp: (VOID, 2, 1))
-        report = poly_search(2, sample_count=8)
+        report = poly_search(2)
         assert report.orienting_assignments >= 1
         assert report.ok is False
 
@@ -402,7 +422,7 @@ class TestPolySearch:
             assert reference_value(interp, w.result) == after
             assert after >= before
 
-        report = poly_search(2, sample_count=8)
+        report = poly_search(2)
         c = report.example
         assert c.witness.rule is RuleId.REC_SUCC
         assert c.value_after >= c.value_before
@@ -411,12 +431,13 @@ class TestPolySearch:
         # orients every unguarded root instance up to size 6, so the
         # bounded scan alone cannot refute it; the pumped witness can
         report = poly_search(3)
-        assert not report.scan_resistant_small_violation
+        assert report.scan_resistant.interpretation == SCAN_RESISTANT_INTERPRETATION
+        assert not report.scan_resistant.violation_within_size6
         interp = SCAN_RESISTANT_INTERPRETATION
         for t in enumerate_terms(6):
             for w in root_steps_full(t):
                 assert interp.value(w.result) < interp.value(w.source)
-        c = report.scan_resistant_example
+        c = report.scan_resistant.example
         assert c.value_after >= c.value_before
 
 
@@ -498,6 +519,9 @@ class TestClosedFormPumping:
 
 
 class TestRenderValue:
+    """A family's value rendered by `json_value`, as counterexamples and the
+    CLI render it."""
+
     # one value of each type a family yields; no golden renders a Measure3,
     # because the canonical family never fails on the guarded relation
     @pytest.mark.parametrize(
@@ -506,23 +530,55 @@ class TestRenderValue:
             (3, 3),
             (1, 1),
             ((2, 5), [2, 5]),
-            (Counter({3: 2, 1: 1}), [1, 3, 3]),
+            ((1, 3, 3), [1, 3, 3]),
             (Measure3(1, (5, 2), 4), [1, [2, 5], 4]),
         ],
     )
     def test_by_type(self, value, rendered):
-        assert render_value(value) == rendered
-        assert json.loads(json.dumps(render_value(value))) == rendered
+        assert json_value(value) == rendered
+        assert json.loads(json.dumps(json_value(value))) == rendered
 
     def test_measure3_before_tuple(self):
         m = Measure3(0, (), 7)
         assert isinstance(m, tuple)
-        assert render_value(m) == [0, [], 7] != list(m)
+        assert json_value(m) == [0, [], 7] != list(m)
 
     def test_every_family_value_renders_to_json(self):
         t = rec(merge(VOID, VOID), delta(VOID), delta(delta(VOID)))
+        # a multiset as its sorted elements, a pair as a list, a measure
+        # as its JSON form
+        expected = {
+            "additive-kappa": 2,
+            "lex-kappa-size": [2, 9],
+            "linear-poly": 6,
+            "delta-flag": 1,
+            "size": 9,
+            "kappa-depth": 2,
+            "naive-multiset": [1, 1, 1, 1, 2, 2, 3, 3, 9],
+            "hybrid-flag-size": [1, 9],
+            "raw-recursion": 9,
+            "precedence-rank": 5,
+            "kbo-weight": 15,
+            "tree-depth": 4,
+            "canonical-triple": [1, [9], 9],
+        }
         for family in catalog() + [canonical_family()]:
-            json.dumps(render_value(family.valuation(t)))
+            value = json_value(family.valuation(t))
+            assert json.loads(json.dumps(value)) == value == expected[family.name]
+
+    def test_naive_multiset_is_its_sorted_subterm_sizes(self):
+        family = catalog_family("naive-multiset")
+        for t in enumerate_terms(5):
+            value = family.valuation(t)
+            assert value == tuple(sorted(size(u) for u in subterms(t)))
+            assert json_value(value) == sorted(Counter(size(u) for u in subterms(t)).elements())
+
+    def test_proper_submultiset(self):
+        less = catalog_family("naive-multiset").less
+        assert less((1, 3), (1, 1, 3))
+        assert not less((1, 3), (1, 3))
+        assert not less((2,), (1, 3))
+        assert not less((1, 1, 3), (1, 3))
 
 
 class TestJsonForms:
@@ -533,9 +589,9 @@ class TestJsonForms:
         assert {"rule", "pos", "from", "to", "family", "before", "after", "verdict"} <= set(c)
 
     def test_poly_report(self):
-        payload = poly_search(2, sample_count=4).to_json()
+        payload = poly_search(2).to_json()
         assert payload["orientingAssignments"] == 0
-        assert "scanResistant" in payload
+        assert set(payload["scanResistant"]) == {"interpretation", "violationWithinSize6", "example"}
 
     def test_stress_report(self):
         payload = duplication_stress(5).to_json()
@@ -556,10 +612,8 @@ SEARCH_DIGESTS = {
                       "f7aedbe53403c57edf131fe46875c05ee62c54e224428dc1cb194a4ff873e0d2"),
     "poly_search(3)": (lambda: poly_search(3),
                        "cf150b307d170029ca38443e341e6101913de96cc3ed7f02712dcaae323a0110"),
-    "poly_search(2, 8)": (lambda: poly_search(2, sample_count=8),
-                          "0cd5c9b7bd4b5a8febcffab7457692c98d30d6dd42147b1e1d5bf98cae8f788a"),
-    "poly_search(3, 4)": (lambda: poly_search(3, sample_count=4),
-                          "420dd73ce4c84b81d8e2d2ce3f0a8382933ff14ae4ee5f26efd7322db31ec5ef"),
+    "poly_search(2)": (lambda: poly_search(2),
+                       "9672686f0f8db71f992ec27c15ed99dc0b51877889b4f21afa1c4640ba97fdaf"),
 }
 
 

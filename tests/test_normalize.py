@@ -83,18 +83,18 @@ class TestNormalFormPredicate:
 class TestNormalizeSafe:
     def test_integrate_delta(self):
         trace = normalize_safe(integrate(delta(VOID)))
-        assert trace.final_term == VOID
+        assert trace.normal_form == VOID
         assert len(trace.steps) == 1
         assert trace.steps[0].witness.rule is RuleId.INT_DELTA
 
     def test_eq_diff_lands_on_normal_form(self):
         trace = normalize_safe(eqw(delta(VOID), VOID))
-        assert trace.final_term == integrate(merge(delta(VOID), VOID))
+        assert trace.normal_form == integrate(merge(delta(VOID), VOID))
         assert len(trace.steps) == 1
 
     def test_rec_succ_stops_at_app(self):
         trace = normalize_safe(rec(VOID, VOID, delta(VOID)))
-        assert trace.final_term == app(VOID, rec(VOID, VOID, VOID))
+        assert trace.normal_form == app(VOID, rec(VOID, VOID, VOID))
         assert [s.witness.rule for s in trace.steps] == [RuleId.REC_SUCC]
 
     def test_trace_invariants(self):
@@ -106,8 +106,8 @@ class TestNormalizeSafe:
                 assert step.witness.source == current
                 assert lex3_less(step.after, step.before)
                 current = step.witness.result
-            assert current == trace.final_term
-            assert is_normal_form_safe(trace.final_term)
+            assert current == trace.normal_form
+            assert is_normal_form_safe(trace.normal_form)
 
     def test_step_count_bounded_by_tau(self):
         for t in enumerate_terms(6):
@@ -134,6 +134,11 @@ class TestNormalizeFull:
         run = normalize_full(eqw(VOID, VOID), fuel=10)
         assert run.normalized
         assert run.term == VOID
+
+    @pytest.mark.parametrize("fuel", [-1, -10_000])
+    def test_negative_fuel_is_refused(self, fuel):
+        with pytest.raises(ValueError, match=r"^fuel must be >= 0$"):
+            normalize_full(VOID, fuel)
 
     def test_fuel_exhaustion(self):
         run = normalize_full(eqw(VOID, VOID), fuel=0)

@@ -34,7 +34,7 @@ def unique_nf_oracle(max_size: int) -> UniqueNFReport:
     for t in enumerate_terms(max_size):
         checked += 1
         terminals = guarded_root_normal_forms(t)
-        if len(terminals) != 1 or normalize_safe(t).final_term not in terminals:
+        if len(terminals) != 1 or normalize_safe(t).normal_form not in terminals:
             violations.append(t)
     return UniqueNFReport(max_size, checked, tuple(violations))
 
@@ -111,7 +111,7 @@ def terms_9():
 def test_root_normal_form_is_the_only_normal_form(terms_9):
     for t in terms_9:
         (normal,) = guarded_root_normal_forms(t)
-        assert confluence._root_normal_form(t) == normal == normalize_safe(t).final_term
+        assert confluence._root_normal_form(t) == normal == normalize_safe(t).normal_form
 
 
 @pytest.mark.parametrize("max_size", range(1, 10))

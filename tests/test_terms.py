@@ -710,6 +710,9 @@ class TestJson:
             # two errors: the child's is met first
             {"k": "nonsense", "c": [{"k": 5}]},
             {"k": "merge", "c": [{"k": "void"}, {"k": "delta"}, {"k": "rec"}]},
+            # a key term_to_json never writes
+            {"k": "void", "c": [], "x": 1},
+            {"k": "delta", "c": [{"k": "void", "kind": "void"}]},
         ],
     )
     def test_malformed_input_is_a_term_error(self, obj):
@@ -813,6 +816,8 @@ def reference_term_from_json(obj) -> Term:
     children = obj.get("c", [])
     if not isinstance(children, list):
         raise TermError(f"the 'c' of a JSON term is a list, got {reprlib.repr(children):.60}")
+    if set(obj) - {"k", "c"}:
+        raise TermError(f"a JSON term has no key but 'k' and 'c', got {reprlib.repr(obj):.60}")
     return Term(obj["k"], tuple(reference_term_from_json(c) for c in children))
 
 
