@@ -53,7 +53,6 @@ _EXPORTS = {
         "catalog",
         "catalog_family",
         "catalog_report",
-        "duplication_depth_tie",
         "duplication_stress",
         "find_violation",
         "kappa_depth",

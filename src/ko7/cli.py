@@ -404,7 +404,8 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter flushes stdout again at exit: let that go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (terms.TermError, InputError) as err:
+    except (terms.TermError, InputError, OSError) as err:
+        # OSError: a sweep worker that died (ChildProcessError) or a failed fork
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -47,7 +47,9 @@ from .terms import (
 
 def kappa_depth(t: Term) -> int:
     """Delta-nesting depth: only delta increments, every other constructor
-    takes the maximum over its children."""
+    takes the maximum over its children.  It recurses on t, which ko7
+    passes only from enumerated terms, their rule instances and pumped
+    step operands, whose depth --max-size or the pump cap of 64 bounds."""
     if t.kind == "void":
         return 0
     if t.kind == "delta":
@@ -56,6 +58,7 @@ def kappa_depth(t: Term) -> int:
 
 
 def tree_depth(t: Term) -> int:
+    """Maximum tree depth.  It recurses on t, bounded as in kappa_depth."""
     if not t.children:
         return 1
     return 1 + max(tree_depth(c) for c in t.children)
@@ -67,10 +70,10 @@ def _proper_submultiset(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
 
 
 class MeasureFamily(NamedTuple):
-    """A candidate termination measure: valuation plus strict order."""
+    """A candidate termination measure: valuation plus strict order, and
+    the rules whose instances its hunt prefers."""
 
     name: str
-    description: str
     valuation: Callable[[Term], Any]
     less: Callable[[Any, Any], bool] = operator.lt
     focus: tuple[RuleId, ...] = ()
@@ -83,6 +86,7 @@ class LinearInterpretation(NamedTuple):
     consts: tuple[int, ...]
 
     def value(self, t: Term) -> int:
+        """M(t).  It recurses on t, bounded as in kappa_depth."""
         i = KIND_INDEX[t.kind]
         return self.consts[i] + sum(
             c * self.value(ch) for c, ch in zip(self.coefs[i], t.children)
@@ -115,82 +119,56 @@ _KBO_INTERPRETATION = LinearInterpretation(_UNIT_COEFS, consts=(1, 3, 1, 1, 1, 1
 def catalog() -> list[MeasureFamily]:
     """The twelve executable failed families, in catalog order."""
     return [
-        MeasureFamily(
-            "additive-kappa",
-            "delta-nesting depth plus a fixed constant (any k; ties are "
-            "constant-invariant)",
-            kappa_depth,
-            focus=(RuleId.REC_SUCC,),
-        ),
+        # delta-nesting depth plus a fixed constant (any k; ties are
+        # constant-invariant)
+        MeasureFamily("additive-kappa", kappa_depth, focus=(RuleId.REC_SUCC,)),
+        # lexicographic pair (delta-nesting depth, node count)
         MeasureFamily(
             "lex-kappa-size",
-            "lexicographic pair (delta-nesting depth, node count)",
             lambda t: (kappa_depth(t), size(t)),
             focus=(RuleId.REC_SUCC,),
         ),
+        # representative linear interpretation (see poly_search for the
+        # exhaustive sweep)
         MeasureFamily(
-            "linear-poly",
-            "representative linear interpretation (see poly_search for the "
-            "exhaustive sweep)",
-            _POLY_INTERPRETATION.value,
-            focus=(RuleId.REC_SUCC,),
+            "linear-poly", _POLY_INTERPRETATION.value, focus=(RuleId.REC_SUCC,)
         ),
+        # the single-bit root-shape detector on its own
         MeasureFamily(
             "delta-flag",
-            "the single-bit root-shape detector on its own",
             delta_flag,
             focus=(RuleId.MERGE_VOID_LEFT, RuleId.MERGE_VOID_RIGHT),
         ),
-        MeasureFamily(
-            "size",
-            "node count as a plain ordinal",
-            size,
-        ),
-        MeasureFamily(
-            "kappa-depth",
-            "delta-nesting depth on its own",
-            kappa_depth,
-            focus=(RuleId.MERGE_CANCEL,),
-        ),
+        # node count as a plain ordinal
+        MeasureFamily("size", size),
+        # delta-nesting depth on its own
+        MeasureFamily("kappa-depth", kappa_depth, focus=(RuleId.MERGE_CANCEL,)),
+        # multiset of all subterm sizes under proper sub-multiset order (no
+        # replace-by-smaller clause)
         MeasureFamily(
             "naive-multiset",
-            "multiset of all subterm sizes under proper sub-multiset order "
-            "(no replace-by-smaller clause)",
             lambda t: tuple(sorted(size(u) for u in subterms(t))),
             _proper_submultiset,
             focus=(RuleId.REC_SUCC,),
         ),
-        MeasureFamily(
-            "hybrid-flag-size",
-            "lexicographic pair (delta flag, node count)",
-            lambda t: (delta_flag(t), size(t)),
-        ),
-        MeasureFamily(
-            "raw-recursion",
-            "node count probed on the unguarded duplicating rule itself",
-            size,
-            focus=(RuleId.REC_SUCC,),
-        ),
+        # lexicographic pair (delta flag, node count)
+        MeasureFamily("hybrid-flag-size", lambda t: (delta_flag(t), size(t))),
+        # node count probed on the unguarded duplicating rule itself
+        MeasureFamily("raw-recursion", size, focus=(RuleId.REC_SUCC,)),
+        # head-constructor rank under a fixed total precedence, with no
+        # subterm clause
         MeasureFamily(
             "precedence-rank",
-            "head-constructor rank under a fixed total precedence, with no "
-            "subterm clause",
             lambda t: KIND_INDEX[t.kind],
             focus=(RuleId.MERGE_CANCEL,),
         ),
+        # representative linear symbol-weight sum (see kbo_search for the
+        # exhaustive sweep)
         MeasureFamily(
-            "kbo-weight",
-            "representative linear symbol-weight sum (see kbo_search for "
-            "the exhaustive sweep)",
-            _KBO_INTERPRETATION.value,
-            focus=(RuleId.REC_SUCC,),
+            "kbo-weight", _KBO_INTERPRETATION.value, focus=(RuleId.REC_SUCC,)
         ),
-        MeasureFamily(
-            "tree-depth",
-            "maximum tree depth (every constructor increments)",
-            tree_depth,
-            focus=(RuleId.REC_SUCC,),
-        ),
+        # maximum tree depth (every constructor increments)
+        MeasureFamily("tree-depth", tree_depth, focus=(RuleId.REC_SUCC,)),
     ]
 
 
@@ -200,12 +178,9 @@ def catalog_family(name: str) -> MeasureFamily:
 
 def canonical_family() -> MeasureFamily:
     """The shipped triple-lex certificate wrapped as a family, for running
-    through the same hunter as the failures."""
-    return MeasureFamily(
-        "canonical-triple",
-        "the certified lexicographic stack (flag, rec multiset, weighted count)",
-        measure3,
-    )
+    through the same hunter as the failures: the certified lexicographic
+    stack (flag, rec multiset, weighted count)."""
+    return MeasureFamily("canonical-triple", measure3)
 
 
 class CounterexampleReport(NamedTuple):
@@ -306,27 +281,6 @@ def catalog_report(max_size: int) -> CatalogReport:
 
 
 # ---------------------------------------------------------------------------
-# The depth tie on the duplicating rule: adding any fixed constant to the
-# nesting depth cannot restore a strict drop.
-
-
-class DepthTieReport(NamedTuple):
-    witness: StepWitness
-    depth: int
-
-
-def duplication_depth_tie(max_size: int = 7) -> DepthTieReport:
-    """First rec_succ instance whose delta-nesting depth ties exactly: the
-    additive-kappa hunt's witness, as rec_succ never raises the depth.  An
-    equal pair stays equal under any constant shift."""
-    found = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
-    tie = found.counterexample
-    if tie is None or tie.witness.rule is not RuleId.REC_SUCC:
-        raise RuntimeError(f"no depth-tied rec_succ instance up to size {max_size}")
-    return DepthTieReport(tie.witness, tie.value_before)
-
-
-# ---------------------------------------------------------------------------
 # Duplication stress identity for the additive node count.
 
 
@@ -387,7 +341,9 @@ Precedence = dict[str, int]  # kind -> rank, higher is greater
 
 def lpo_greater(a: Term, b: Term, prec: Precedence) -> bool:
     """Standard LPO: subterm clause, precedence clause, and same-head
-    lexicographic clause."""
+    lexicographic clause.  It recurses on a and b, which ko7 passes only
+    from rule instances of enumerated terms, whose depth --max-size
+    bounds."""
     if a == b:
         return False
     if any(c == b or lpo_greater(c, b, prec) for c in a.children):
@@ -483,9 +439,11 @@ def lpo_boundary_report(max_size: int = 5) -> LpoReport:
 # Exhaustive searches over interpretation families.
 
 
-def _pump_step_operand(
-    interp: LinearInterpretation, cap: int = 64
-) -> tuple[Term, int, int]:
+# The most step operands _pump_step_operand tries before it gives up.
+_PUMP_CAP = 64
+
+
+def _pump_step_operand(interp: LinearInterpretation) -> tuple[Term, int, int]:
     """A step operand s on which `interp` fails to drop strictly on the
     rec_succ instance rec void s (delta void) -> app s (rec void s void),
     with the values of both sides.
@@ -503,7 +461,7 @@ def _pump_step_operand(
                 s, value = Term(kind, (VOID,) * ARITY[kind]), const
                 break
     rec_void = c_rec + r1 * c_void  # rec void _ _, less its step and argument terms
-    for _ in range(cap):
+    for _ in range(_PUMP_CAP):
         before = rec_void + r2 * value + r3 * (c_delta + d1 * c_void)
         after = c_app + a1 * value + a2 * (rec_void + r2 * value + r3 * c_void)
         if before <= after:
@@ -583,17 +541,13 @@ class PolyReport(NamedTuple):
     to_json = fields_json
 
 
-def _linear_family(name: str, interp: LinearInterpretation) -> MeasureFamily:
-    return MeasureFamily(name, "linear interpretation", interp.value)
-
-
 def _rec_succ_example(
     name: str, interp: LinearInterpretation, s: Term
 ) -> Optional[CounterexampleReport]:
     """The rec_succ instance on step operand s as a counterexample, or None
     when its value strictly drops (the candidate orients the instance)."""
     witness = root_steps_full(rec(VOID, s, delta(VOID)))[0]
-    return _no_drop_report(_linear_family(name, interp), witness)
+    return _no_drop_report(MeasureFamily(name, interp.value), witness)
 
 
 def _pump_candidates(
@@ -650,7 +604,7 @@ def poly_search(coef_bound: int = 3) -> PolyReport:
         example,
         ScanResistance(
             resistant,
-            find_violation(_linear_family("linear-poly", resistant), max_size=6).found,
+            find_violation(MeasureFamily("linear-poly", resistant.value), max_size=6).found,
             _rec_succ_example("linear-poly", resistant, _pump_step_operand(resistant)[0]),
         ),
     )

@@ -353,7 +353,10 @@ def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
     """Functional replacement of the subterm at `position`.
 
     Descends once, collecting the ancestors, then rebuilds them bottom-up:
-    linear in the length of `position`, with no recursion."""
+    linear in the length of `position`, with no recursion.  A replacement
+    that is not a Term raises TermError, as `Term(...)` does."""
+    if replacement.__class__ is not Term:
+        raise TermError(f"a replacement must be a Term, got {type(replacement).__name__}")
     ancestors: list[tuple[Term, int]] = []
     for index in position:
         if not 0 <= index < len(t.children):

@@ -22,9 +22,9 @@ that raised (a RuntimeError carrying its repr when the exception does not
 pickle).  The parent runs no chunk: it reads each worker's result, reaps
 the worker, re-raises the first chunk error it reads, and merges the
 reports in slice order.  A worker that ends without a result, killed by a
-signal for instance, is a RuntimeError naming its wait status.  On every
-way out, an interrupt included, the parent kills and reaps each worker it
-has not reaped and closes every pipe end it opened.  Where os.fork is
+signal for instance, is a ChildProcessError (an OSError) naming its wait
+status.  On every way out, an interrupt included, the parent kills and
+reaps each worker it has not reaped and closes every pipe end it opened.  Where os.fork is
 missing, sweeps run serially.  A fork copies only the calling thread, so
 a library caller that runs threads of its own should sweep with one
 worker; the `ko7` command runs none.
@@ -140,7 +140,7 @@ def _run_forked(chunk_fn: Callable[..., R], tasks: list[tuple], workers: int) ->
             _, status = os.waitpid(pid, 0)
             del pending[0]
             if status:
-                raise RuntimeError(f"sweep worker {pid} ended without a result (wait status {status})")
+                raise ChildProcessError(f"sweep worker {pid} ended without a result (wait status {status})")
             done = pickle.loads(data)
             if isinstance(done, BaseException):
                 raise done

@@ -18,7 +18,6 @@ from ko7.measure import decrease_sweep
 from ko7.nogo import (
     catalog,
     catalog_report,
-    duplication_depth_tie,
     kbo_search,
     lpo_boundary_report,
     poly_search,
@@ -151,8 +150,8 @@ def test_criterion_6_nogo_catalog():
             assert hunt.found, hunt.family
         assert not report.canonical.found
         assert report.ok
-        tie = duplication_depth_tie(7)
-        assert tie.witness.rule is RuleId.REC_SUCC
+        (tie,) = (h for h in report.families if h.family == "additive-kappa")
+        assert tie.counterexample.witness.rule is RuleId.REC_SUCC
         assert poly_search(3).orienting_assignments == 0
         assert kbo_search(3).orienting_assignments == 0
 

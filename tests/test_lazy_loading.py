@@ -27,7 +27,7 @@ NAMES = [
     "TargetNotNormalError", "Term", "TermError", "Trace", "UniqueNFReport", "VOID",
     "app", "canonical_family", "catalog", "catalog_family", "catalog_report",
     "confluence", "ctx_steps_full", "ctx_steps_safe", "decrease_sweep", "delta",
-    "delta_flag", "dm_less", "duplication_depth_tie", "duplication_stress",
+    "delta_flag", "dm_less", "duplication_stress",
     "enumerate_terms", "eqw", "find_violation", "forks", "guarded_root_normal_forms",
     "integrate", "is_normal_form_safe", "joinable", "kappa_depth", "kappa_m",
     "kbo_search", "lex3_less", "local_join_sweep", "lpo_boundary_report", "lpo_greater",

@@ -13,7 +13,6 @@ from ko7.nogo import (
     catalog,
     catalog_family,
     catalog_report,
-    duplication_depth_tie,
     duplication_stress,
     find_violation,
     iter_witnesses,
@@ -292,35 +291,47 @@ class TestCanonicalSurvives:
         assert hunt.found
 
 
+def _depth_tie_hunt(max_size):
+    return find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
+
+
+def _rec_succ_depth_ties(max_size):
+    """Reference: the rec_succ instances whose depth ties, by a plain scan."""
+    return (
+        w
+        for w in iter_witnesses(RelationKind.FULL_ROOT, max_size)
+        if w.rule is RuleId.REC_SUCC and kappa_depth(w.source) == kappa_depth(w.result)
+    )
+
+
 class TestDepthTie:
+    """The depth tie of rec_succ is the additive-kappa hunt's witness."""
+
     def test_tie_with_constant_shifts(self):
-        report = duplication_depth_tie(7)
-        assert report.witness.rule is RuleId.REC_SUCC
-        assert kappa_depth(report.witness.source) == kappa_depth(report.witness.result)
+        c = _depth_tie_hunt(7).counterexample
+        assert c.witness.rule is RuleId.REC_SUCC
+        # an equal pair stays equal, so no strict drop, under any constant shift
+        less = catalog_family("additive-kappa").less
+        for k in range(10):
+            assert not less(c.value_after + k, c.value_before + k)
 
     @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
     def test_raises_below_the_first_tie(self, max_size):
         # the additive-kappa hunt finds nothing, or falls back to a
-        # merge_void_left instance, before the first tie at size 6
-        hunt = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
+        # merge_void_left instance, before the first tie at size 6, and the
+        # plain scan runs out of ties
+        hunt = _depth_tie_hunt(max_size)
         assert not hunt.found or hunt.counterexample.witness.rule is RuleId.MERGE_VOID_LEFT
-        with pytest.raises(RuntimeError):
-            duplication_depth_tie(max_size)
+        with pytest.raises(StopIteration):
+            next(_rec_succ_depth_ties(max_size))
 
     @pytest.mark.parametrize("max_size", [6, 7, 8])
     def test_is_the_additive_kappa_hunt_witness(self, max_size):
-        hunt = find_violation(catalog_family("additive-kappa"), RelationKind.FULL_ROOT, max_size)
-        report = duplication_depth_tie(max_size)
-        assert report.witness == hunt.counterexample.witness
-        assert report.depth == hunt.counterexample.value_before
-        # reference: the first rec_succ instance whose depth ties, by a plain scan
-        first_tie = next(
-            w
-            for w in iter_witnesses(RelationKind.FULL_ROOT, max_size)
-            if w.rule is RuleId.REC_SUCC and kappa_depth(w.source) == kappa_depth(w.result)
-        )
-        assert report.witness == first_tie
-        assert report.depth == kappa_depth(first_tie.source)
+        c = _depth_tie_hunt(max_size).counterexample
+        assert c.witness.rule is RuleId.REC_SUCC
+        assert c.value_before == c.value_after == 1
+        assert c.verdict == "no-strict-drop"
+        assert c.witness == next(_rec_succ_depth_ties(max_size))
 
 
 class TestDuplicationStress:
@@ -508,10 +519,11 @@ class TestClosedFormPumping:
             pumps[tree_depth(s)] += 1
         assert len(pumps) >= 3
 
-    def test_cap_is_kept(self):
+    def test_cap_is_kept(self, monkeypatch):
         # one pump is needed above, so a cap of one pump runs out
+        monkeypatch.setattr(nogo, "_PUMP_CAP", 1)
         try:
-            nogo._pump_step_operand(SCAN_RESISTANT_INTERPRETATION, cap=1)
+            nogo._pump_step_operand(SCAN_RESISTANT_INTERPRETATION)
         except RuntimeError:
             pass
         else:

@@ -616,6 +616,14 @@ class TestPositions:
         assert replace_at(integrate(VOID), (0,), delta(VOID)) == integrate(delta(VOID))
         assert replace_at(VOID, (), merge(VOID, VOID)) == merge(VOID, VOID)
 
+    @pytest.mark.parametrize(
+        "t, position, replacement",
+        [(delta(VOID), (0,), "x"), (VOID, (), 5), (merge(VOID, VOID), (1,), None)],
+    )
+    def test_replace_at_refuses_a_non_term(self, t, position, replacement):
+        with pytest.raises(TermError, match="^a replacement must be a Term, got "):
+            replace_at(t, position, replacement)
+
     def test_invalid_position(self):
         with pytest.raises(InvalidPositionError) as err:
             subterm_at(VOID, (0,))

@@ -1,6 +1,8 @@
+import errno
 import gc
 import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -167,7 +169,7 @@ def _interrupted(fd):
 def test_no_worker_or_pipe_outlives_a_failed_sweep(monkeypatch, way_out):
     fds = len(os.listdir("/proc/self/fd"))
     if way_out == "killed worker":
-        with pytest.raises(RuntimeError, match=r"^sweep worker \d+ ended without a result \(wait status 9\)$"):
+        with pytest.raises(ChildProcessError, match=r"^sweep worker \d+ ended without a result \(wait status 9\)$"):
             run_sweep(_killed_chunk, 5, 2)
     else:
         monkeypatch.setattr("ko7.workers._read_all", _interrupted)
@@ -176,6 +178,39 @@ def test_no_worker_or_pipe_outlives_a_failed_sweep(monkeypatch, way_out):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def _first_chunk_killed(max_size, lo, hi):
+    if lo == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _unique_nf_chunk(max_size, lo, hi)
+
+
+def _no_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+# the CLI's message for each way a forked sweep cannot finish
+SWEEP_ERRORS = {
+    "killed worker": r"sweep worker \d+ ended without a result \(wait status 9\)",
+    "failed fork": r"\[Errno 11\] Resource temporarily unavailable",
+}
+
+
+@pytest.mark.parametrize("way_out", SWEEP_ERRORS)
+def test_a_sweep_that_cannot_finish_exits_2_without_a_traceback(monkeypatch, capsys, way_out):
+    # exit 1 means a check violation, and a dead worker or a failed fork is none
+    monkeypatch.setenv("KO7_WORKERS", "2")
+    _mask(monkeypatch, 2)
+    if way_out == "killed worker":
+        monkeypatch.setattr(confluence, "_unique_nf_chunk", _first_chunk_killed)
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    assert main(["check", "unique-nf", "--max-size", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"error: {SWEEP_ERRORS[way_out]}\n", err)
+    assert "Traceback" not in err
 
 
 def test_resolve_workers_is_one_without_fork(monkeypatch):
