@@ -36,9 +36,7 @@ _EXPORTS = {
         "decrease_sweep",
         "dm_less",
         "kappa_m",
-        "lex3_less",
         "measure3",
-        "tau",
     ),
     "nogo": (
         "CatalogReport",
@@ -67,7 +65,6 @@ _EXPORTS = {
         "MeasureInvariantError",
         "TargetNotNormalError",
         "Trace",
-        "is_normal_form_safe",
         "normalize_full",
         "normalize_safe",
         "reaches_target",

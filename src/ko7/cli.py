@@ -21,7 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Callable
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import terms
 
@@ -46,17 +47,18 @@ class InputError(ValueError):
     not a term."""
 
 
-def _emit(args, payload: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
-    """Print one result: under --json the JSON of `payload()`, else
-    `lines()` joined by newlines.  The only writer of stdout.  Only the
-    printed form is built: a full run's payload holds every step's two
-    terms, and its text renders every step."""
+def _emit(args, payload: Callable[[], dict], lines: Callable[[], Iterable[str]]) -> None:
+    """Print one result: under --json the JSON of `payload()`, else each
+    line of `lines()` as it is made.  The only writer of stdout.  Only the
+    printed form is built (a full run's payload holds every step's two
+    terms), and lazy lines are held one at a time."""
     if args.json:
         import json
 
         print(json.dumps(payload(), sort_keys=True))
     else:
-        print("\n".join(lines()))
+        for line in lines():
+            print(line)
 
 
 def _emit_report(args, report, lines: Callable[[], list[str]]) -> int:
@@ -124,23 +126,23 @@ def _cmd_normalize(args) -> int:
             json.dumps(terms.term_to_json(t))
         if args.relation == "safe":
             trace = normalize.normalize_safe(t)
-            _emit(args, trace.to_json, lambda: [
-                *(
+            _emit(args, trace.to_json, lambda: chain(
+                (
                     f"{s.witness.rule.value}: {terms.render(s.witness.source)} -> "
                     f"{terms.render(s.witness.result)}   {s.before} -> {s.after}"
                     for s in (trace.steps if args.trace else ())
                 ),
-                terms.render(trace.normal_form),
-            ])
+                map(terms.render, [trace.normal_form]),
+            ))
         else:
             run = normalize.normalize_full(t, fuel)
             if not run.normalized:
                 status = EXIT_VIOLATION
-            _emit(args, run.to_json, lambda: [
-                *(_witness_line(w) for w in (run.steps if args.trace else ())),
-                terms.render(run.term) if run.normalized else
-                f"fuel exhausted after {run.steps_taken} steps at: {terms.render(run.term)}",
-            ])
+            prefix = "" if run.normalized else f"fuel exhausted after {run.steps_taken} steps at: "
+            _emit(args, run.to_json, lambda: chain(
+                map(_witness_line, run.steps if args.trace else ()),
+                (prefix + terms.render(u) for u in [run.term]),
+            ))
     return status
 
 

@@ -1,10 +1,10 @@
 """The triple-lexicographic termination certificate for the safe relation.
 
-measure3(t) = (delta_flag(t), kappa_m(t), tau(t)), compared by
+measure3(t) = (delta_flag(t), kappa_m(t), t.tau), compared by
 
     Lex( < on {0,1},  Dershowitz-Manna on multisets of naturals,  < on nat ).
 
-tau is a weighted node count (eqw nodes weigh 3, everything else 1): the
+t.tau is a weighted node count (eqw nodes weigh 3, everything else 1): the
 minimal weighting that strictly orients the eqw-diff rule, whose right-hand
 side has one more node than its left.  kappa_m collects the tau values of
 all rec-rooted subterm occurrences, which hands rec-zero a strict
@@ -25,20 +25,11 @@ from .workers import run_sweep
 NatMultiset = Counter  # element -> multiplicity, multiplicities >= 1
 
 
-def tau(t: Term) -> int:
-    """Weighted node count: eqw weighs 3, all other constructors 1
-    (cached on the node)."""
-    return t.tau
-
-
 def kappa_m(t: Term) -> NatMultiset:
-    """Multiset of tau values of the rec-rooted subterm occurrences of t
-    (a fresh Counter over the node's cached tuple of them)."""
+    """Multiset of tau values of the rec-rooted subterm occurrences of t,
+    as a fresh Counter over `t.rec_taus`.  Kept for `bench/tracer.py`,
+    which binds it by name."""
     return Counter(t.rec_taus)
-
-
-def _descending(m: NatMultiset) -> tuple[int, ...]:
-    return tuple(sorted(m.elements(), reverse=True))
 
 
 def dm_less(x: NatMultiset, y: NatMultiset) -> bool:
@@ -46,14 +37,15 @@ def dm_less(x: NatMultiset, y: NatMultiset) -> bool:
     nonempty multiset Z and adding elements each strictly below some
     element of Z.  On naturals, whose order is total, this is the
     lexicographic order of the elements sorted descending, a proper
-    prefix being the smaller (Dershowitz & Manna 1979)."""
-    return _descending(x) < _descending(y)
+    prefix being the smaller (Dershowitz & Manna 1979).  Kept as the
+    order on Counters that the tests check against brute force."""
+    return sorted(x.elements(), reverse=True) < sorted(y.elements(), reverse=True)
 
 
 class Measure3(NamedTuple):
-    """(dflag, kappa_m, tau), kappa_m held as its elements sorted
-    descending.  Tuple `<` on two measures is then exactly the
-    triple-lexicographic order of `lex3_less` (see `dm_less`)."""
+    """(dflag, kappa_m, tau), kappa_m held sorted descending: tuple `<` on
+    two measures is then the triple-lexicographic order, kappa_m compared
+    by Dershowitz-Manna (see `dm_less`)."""
 
     dflag: int
     kappa_desc: tuple[int, ...]
@@ -73,10 +65,6 @@ class Measure3(NamedTuple):
 def measure3(t: Term) -> Measure3:
     # tuple.__new__ skips the generated __new__'s argument binding
     return tuple.__new__(Measure3, (delta_flag(t), tuple(sorted(t.rec_taus, reverse=True)), t.tau))
-
-
-def lex3_less(a: Measure3, b: Measure3) -> bool:
-    return a < b
 
 
 def deciding_component(after: Measure3, before: Measure3) -> str | None:

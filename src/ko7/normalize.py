@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
-from .measure import Measure3, lex3_less, measure3
+from .measure import Measure3, measure3
 from .rewrite import StepWitness, _full_steps, root_steps_safe
 from .terms import Term, TermError, _collector_paused, fields_json
 
@@ -64,11 +64,6 @@ class FullRunResult(NamedTuple):
     to_json = fields_json
 
 
-def is_normal_form_safe(t: Term) -> bool:
-    """True iff no guarded root rule applies."""
-    return not root_steps_safe(t)
-
-
 def normalize_safe(t: Term) -> Trace:
     """Reduce t to a guarded-root normal form, taking the first witness in
     the fixed (position, rule) order at each step.  Asserts the measure
@@ -82,7 +77,7 @@ def normalize_safe(t: Term) -> Trace:
             return Trace(t, tuple(steps), current)
         w = witnesses[0]
         after = measure3(w.result)
-        if not lex3_less(after, before):
+        if not after < before:
             raise MeasureInvariantError(w, before, after)
         steps.append(TraceStep(w, before, after))
         current = w.result

@@ -259,7 +259,8 @@ def eqw(left: Term, right: Term) -> Term:
 
 
 def size(t: Term) -> int:
-    """Number of constructor nodes."""
+    """Number of constructor nodes: the valuation of `nogo`'s `size`
+    family, which the fault tests patch there."""
     return t.size
 
 

@@ -23,11 +23,9 @@ from ko7.nogo import (
     poly_search,
 )
 from ko7.normalize import (
-    is_normal_form_safe,
     normalize_safe,
     reaches_target,
 )
-from ko7.measure import lex3_less
 from ko7.rewrite import RelationKind, RuleId, root_steps_safe
 from ko7.terms import VOID, delta, enumerate_terms, integrate, render
 
@@ -80,10 +78,10 @@ def test_criterion_2_normalizer_totality_soundness():
             current = t
             for step in trace.steps:
                 assert step.witness.source == current
-                assert lex3_less(step.after, step.before)
+                assert step.after < step.before
                 current = step.witness.result
             assert current == trace.normal_form
-            assert is_normal_form_safe(trace.normal_form)
+            assert not root_steps_safe(trace.normal_form)
         for t in enumerate_terms(5):
             assert normalize_safe(integrate(delta(t))).normal_form == VOID
 
@@ -180,7 +178,7 @@ def test_criterion_8_reachability_agreement():
             return seen
 
         pool = enumerate_terms(5)
-        targets = [c for c in pool if is_normal_form_safe(c)]
+        targets = [c for c in pool if not root_steps_safe(c)]
         pairs = 0
         for t in pool:
             reach = reachable(t)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -699,6 +700,28 @@ def test_a_text_form_takes_a_deep_chain(run, argv, depth, lines, last):
     status, out, err = run(*_with_chain(argv, depth))
     assert (status, err, out.count("\n")) == (0, "", lines)
     assert out.splitlines()[-1].startswith(last)
+
+
+@pytest.mark.parametrize("relation", ["safe", "full"])
+def test_a_trace_prints_each_line_before_it_renders_the_next(monkeypatch, relation):
+    # a full trace's text grows with the square of the chain's depth, so
+    # no line may wait for the last one to be rendered
+    import ko7.terms
+
+    out = io.StringIO()
+    render = ko7.terms.render
+    lines_out = []  # the lines on stdout at each render call
+
+    def counted_render(t):
+        lines_out.append(out.getvalue().count("\n"))
+        return render(t)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(ko7.terms, "render", counted_render)
+    assert main(["normalize", _chain(3), "--relation", relation, "--trace"]) == 0
+    steps = out.getvalue().count("\n") - 1
+    assert steps >= 1
+    assert lines_out[-1] == steps
 
 
 def test_json_normalize_refuses_a_chain_too_deep_to_print_before_the_run(run, monkeypatch):

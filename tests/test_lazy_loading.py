@@ -29,13 +29,13 @@ NAMES = [
     "confluence", "ctx_steps_full", "ctx_steps_safe", "decrease_sweep", "delta",
     "delta_flag", "dm_less", "duplication_stress",
     "enumerate_terms", "eqw", "find_violation", "forks", "guarded_root_normal_forms",
-    "integrate", "is_normal_form_safe", "joinable", "kappa_depth", "kappa_m",
-    "kbo_search", "lex3_less", "local_join_sweep", "lpo_boundary_report", "lpo_greater",
+    "integrate", "joinable", "kappa_depth", "kappa_m",
+    "kbo_search", "local_join_sweep", "lpo_boundary_report", "lpo_greater",
     "measure", "measure3", "merge", "nogo", "non_join_witness", "normalize",
     "normalize_full", "normalize_safe", "parse", "poly_search", "positions",
     "reaches_target", "rec", "render", "replace_at", "rewrite", "root_coverage_sweep",
     "root_steps_full", "root_steps_safe", "size", "steps", "subterm_at", "subterms",
-    "tau", "term_from_json", "term_to_json", "terms", "terms_of_size", "tree_depth",
+    "term_from_json", "term_to_json", "terms", "terms_of_size", "tree_depth",
     "unique_nf_sweep", "workers",
 ]
 

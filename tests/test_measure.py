@@ -10,9 +10,7 @@ from ko7.measure import (
     deciding_component,
     dm_less,
     kappa_m,
-    lex3_less,
     measure3,
-    tau,
 )
 from ko7.rewrite import delta_flag, root_steps_safe
 from ko7.terms import (
@@ -63,7 +61,7 @@ def descending(m: Counter) -> tuple[int, ...]:
 
 
 def assert_cached_measure(t):
-    assert tau(t) == reference_tau(t)
+    assert t.tau == reference_tau(t)
     assert kappa_m(t) == reference_kappa_m(t)
     assert measure3(t) == Measure3(delta_flag(t), descending(reference_kappa_m(t)), reference_tau(t))
 
@@ -150,7 +148,7 @@ class TestTupleOrder:
         a, b = Measure3(fx, descending(x), tx), Measure3(fy, descending(y), ty)
         want = reference_deciding_component(a, b)
         assert deciding_component(a, b) == want
-        assert lex3_less(a, b) == (want is not None)
+        assert (a < b) == (want is not None)
 
     def test_every_guarded_root_step_up_to_size_eight(self):
         steps = 0
@@ -163,7 +161,7 @@ class TestTupleOrder:
                 assert deciding_component(after, before) == reference_deciding_component(
                     after, before
                 )
-                assert lex3_less(after, before)
+                assert after < before
         assert steps == decrease_sweep(8).checked
 
 
@@ -181,18 +179,18 @@ class TestDeltaFlag:
 
 class TestTau:
     def test_base(self):
-        assert tau(VOID) == 1
+        assert VOID.tau == 1
 
     def test_eqw_weight(self):
-        assert tau(eqw(VOID, VOID)) == 5
-        assert tau(integrate(merge(VOID, VOID))) == 4
-        assert tau(merge(VOID, delta(VOID))) == 4
+        assert eqw(VOID, VOID).tau == 5
+        assert integrate(merge(VOID, VOID)).tau == 4
+        assert merge(VOID, delta(VOID)).tau == 4
 
     def test_bounded_below_by_size(self):
         for t in enumerate_terms(6):
             has_eqw = any(u.kind == "eqw" for u in subterms(t))
-            assert tau(t) >= size(t)
-            assert (tau(t) == size(t)) == (not has_eqw)
+            assert t.tau >= size(t)
+            assert (t.tau == size(t)) == (not has_eqw)
 
 
 class TestKappaM:
@@ -245,14 +243,14 @@ class TestLex3:
         after = measure3(app(VOID, rec(VOID, VOID, VOID)))
         assert before == Measure3(1, (5,), 5)
         assert after == Measure3(0, (4,), 6)
-        assert lex3_less(after, before)
+        assert after < before
 
     def test_irreflexive(self):
         m = Measure3(0, (), 1)
-        assert not lex3_less(m, m)
+        assert not m < m
 
     def test_tau_tiebreak(self):
-        assert lex3_less(Measure3(0, (), 4), Measure3(0, (), 5))
+        assert Measure3(0, (), 4) < Measure3(0, (), 5)
 
     def test_json(self):
         m = measure3(merge(rec(VOID, VOID, VOID), rec(VOID, VOID, VOID)))

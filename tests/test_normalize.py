@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import ko7.normalize
 import ko7.rewrite
-from ko7.measure import lex3_less, tau
 from ko7.normalize import (
     FullRunResult,
     TargetNotNormalError,
-    is_normal_form_safe,
     normalize_full,
     normalize_safe,
     reaches_target,
@@ -71,13 +69,13 @@ def sized_terms(draw, max_size=40):
 
 class TestNormalFormPredicate:
     def test_atom(self):
-        assert is_normal_form_safe(VOID)
+        assert not root_steps_safe(VOID)
 
     def test_stuck_integrate(self):
-        assert is_normal_form_safe(integrate(merge(VOID, VOID)))
+        assert not root_steps_safe(integrate(merge(VOID, VOID)))
 
     def test_eqw_refl_reducible(self):
-        assert not is_normal_form_safe(eqw(VOID, VOID))
+        assert root_steps_safe(eqw(VOID, VOID))
 
 
 class TestNormalizeSafe:
@@ -104,14 +102,14 @@ class TestNormalizeSafe:
             current = t
             for step in trace.steps:
                 assert step.witness.source == current
-                assert lex3_less(step.after, step.before)
+                assert step.after < step.before
                 current = step.witness.result
             assert current == trace.normal_form
-            assert is_normal_form_safe(trace.normal_form)
+            assert not root_steps_safe(trace.normal_form)
 
     def test_step_count_bounded_by_tau(self):
         for t in enumerate_terms(6):
-            assert len(normalize_safe(t).steps) <= tau(t)
+            assert len(normalize_safe(t).steps) <= t.tau
 
     def test_trace_json_schema(self):
         payload = normalize_safe(eqw(VOID, VOID)).to_json()
@@ -283,7 +281,7 @@ class TestReachesTarget:
             return seen
 
         pool = enumerate_terms(4)
-        targets = [c for c in pool if is_normal_form_safe(c)]
+        targets = [c for c in pool if not root_steps_safe(c)]
         for t in pool:
             reach = reachable(t)
             for c in targets:
